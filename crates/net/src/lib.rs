@@ -16,10 +16,13 @@
 //!   data-plane routing and never-shed control lines.
 //! * [`serve`] + [`NdjsonService`] — the reactor loop itself: accept,
 //!   frame, classify, dispatch, reorder, flush, evict, drain.
+//! * [`serve_lines`] — the same service behind one blocking connection
+//!   (stdin/stdout): read a line, answer it, read the next.
 //!
 //! A serving tier implements [`NdjsonService`] (classify + process) and
 //! gets 10k+ connection capacity with per-connection reply ordering for
-//! free. Both `weber serve` and `weber route` front ends run on it.
+//! free. Both `weber serve` and `weber route` execute every request
+//! line through it, on TCP and on stdio alike.
 
 mod buffer;
 mod poller;
@@ -33,4 +36,6 @@ pub use poller::{
     Poller, Waker,
 };
 pub use pool::{Completion, CompletionSender, Dispatch, RouteClass, WorkerPool};
-pub use server::{serve, IoMode, NdjsonService, Reply, Responder, ServerOptions};
+pub use server::{
+    serve, serve_lines, NdjsonService, Reply, Responder, ServerOptions, QUEUE_DEPTH_GAUGE,
+};

@@ -3,7 +3,6 @@
 
 use std::io;
 use std::os::fd::RawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use crate::sys::{
@@ -108,11 +107,13 @@ impl Poller {
 
 /// A cross-thread wake-up for a poller: register [`Waker::raw_fd`] with
 /// read interest, call [`Waker::wake`] from any thread, and
-/// [`Waker::drain`] when the token fires. Consecutive wakes coalesce into
-/// one syscall while the poller has not drained yet.
+/// [`Waker::drain`] when the token fires. The eventfd counter coalesces
+/// consecutive wakes: however many land before a drain, the poller sees
+/// one readable fd, and a wake that lands after the drain's read makes
+/// the fd readable again — so a consumer that re-reads its queue after
+/// every drain can never miss work.
 pub struct Waker {
     event_fd: EventFd,
-    armed: AtomicBool,
 }
 
 impl Waker {
@@ -120,7 +121,6 @@ impl Waker {
     pub fn new() -> io::Result<Self> {
         Ok(Self {
             event_fd: EventFd::new()?,
-            armed: AtomicBool::new(false),
         })
     }
 
@@ -129,17 +129,14 @@ impl Waker {
         self.event_fd.raw_fd()
     }
 
-    /// Wake the poller (no-op if a wake is already pending).
+    /// Wake the poller.
     pub fn wake(&self) {
-        if !self.armed.swap(true, Ordering::AcqRel) {
-            self.event_fd.signal();
-        }
+        self.event_fd.signal();
     }
 
-    /// Clear the pending wake so the next [`wake`](Self::wake) signals
-    /// again.
+    /// Reset the eventfd counter so the fd stops reading ready until the
+    /// next [`wake`](Self::wake).
     pub fn drain(&self) {
-        self.armed.store(false, Ordering::Release);
         self.event_fd.drain();
     }
 }
@@ -149,3 +146,77 @@ pub use sys::raise_nofile_limit;
 /// Re-exports for outbound (client-side) reactors: begin a connect
 /// without blocking, finish it when `EPOLLOUT` fires.
 pub use sys::{connect_nonblocking, connect_outcome, ConnectProgress};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// Four closed-loop producers against one poller: each posts an item,
+    /// wakes, and waits for the consumer to take it before posting the
+    /// next, so the consumer keeps going back to sleep with wakes racing
+    /// its drain. A wake lost in that race leaves an item posted with
+    /// nobody awake to take it, and the consumer's next wait times out.
+    #[test]
+    fn concurrent_wakes_are_never_lost() {
+        const PRODUCERS: usize = 4;
+        const WAKES: u64 = 200_000;
+        const TOKEN: u64 = 7;
+
+        let mut poller = Poller::new(16).unwrap();
+        let waker = Waker::new().unwrap();
+        poller.add(waker.raw_fd(), TOKEN, Interest::READ).unwrap();
+        let posted: Vec<AtomicU64> = (0..PRODUCERS).map(|_| AtomicU64::new(0)).collect();
+        let taken: Vec<AtomicU64> = (0..PRODUCERS).map(|_| AtomicU64::new(0)).collect();
+
+        std::thread::scope(|scope| {
+            for (posted, taken) in posted.iter().zip(&taken) {
+                let waker = &waker;
+                scope.spawn(move || {
+                    for k in 1..=WAKES {
+                        posted.store(k, Ordering::SeqCst);
+                        waker.wake();
+                        // Mostly spin: yielding on every miss triples the
+                        // run time in syscalls on a two-core box.
+                        let mut misses = 0u32;
+                        while taken.load(Ordering::SeqCst) < k {
+                            misses += 1;
+                            if misses.is_multiple_of(64) {
+                                std::thread::yield_now();
+                            } else {
+                                std::hint::spin_loop();
+                            }
+                        }
+                    }
+                });
+            }
+
+            let mut events = Vec::new();
+            while taken.iter().any(|t| t.load(Ordering::SeqCst) < WAKES) {
+                events.clear();
+                poller
+                    .wait(&mut events, Some(Duration::from_millis(500)))
+                    .unwrap();
+                if events.is_empty() {
+                    let stuck: Vec<(u64, u64)> = posted
+                        .iter()
+                        .zip(&taken)
+                        .map(|(p, t)| (p.load(Ordering::SeqCst), t.load(Ordering::SeqCst)))
+                        .collect();
+                    // Release the producers so the scope can join before
+                    // the failure is reported.
+                    for t in &taken {
+                        t.store(WAKES, Ordering::SeqCst);
+                    }
+                    panic!("the poller slept through a wake: (posted, taken) = {stuck:?}");
+                }
+                // Drain first, then re-read the queue — the order both
+                // reactors use.
+                waker.drain();
+                for (p, t) in posted.iter().zip(&taken) {
+                    t.store(p.load(Ordering::SeqCst), Ordering::SeqCst);
+                }
+            }
+        });
+    }
+}

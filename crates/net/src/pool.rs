@@ -13,10 +13,11 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+
+use weber_obs::Gauge;
 
 use crate::poller::Waker;
 use crate::server::{NdjsonService, Reply};
@@ -28,11 +29,6 @@ pub enum RouteClass {
     /// Sheddable request pinned to worker `key % workers`. Lines sharing
     /// a key (same entity name) execute in admission order.
     Data(u64),
-    /// Request pinned to `connection % workers` and never shed: every
-    /// line of one connection executes in admission order, reproducing a
-    /// synchronous per-connection loop. Backpressure comes from the
-    /// pipelining valve instead of shedding.
-    PerConnection,
     /// Rare request that must never be shed; runs on worker 0 in
     /// admission order with every other control request.
     Control,
@@ -43,8 +39,7 @@ pub enum RouteClass {
     /// reactor thread with a [`crate::Responder`]: the service starts
     /// asynchronous work (an outbound backend exchange) and answers
     /// later through the completion channel. Never queued, never shed —
-    /// backpressure comes from the pipelining valve, exactly as for
-    /// `PerConnection` lines.
+    /// backpressure comes from the pipelining valve.
     Deferred,
 }
 
@@ -106,22 +101,24 @@ pub enum Dispatch {
 pub struct WorkerPool {
     queues: Vec<Arc<Queue>>,
     capacity: usize,
-    depth: Arc<AtomicI64>,
+    depth: Arc<Gauge>,
     handles: Vec<JoinHandle<()>>,
 }
 
 impl WorkerPool {
     /// Start `workers` threads (clamped to ≥ 1), each with a
     /// `capacity`-slot queue, posting replies through `completions`.
+    /// `depth` is kept at the number of jobs queued but not yet picked
+    /// up, across all workers.
     pub fn start<S: NdjsonService>(
         service: Arc<S>,
         workers: usize,
         capacity: usize,
         completions: CompletionSender,
+        depth: Arc<Gauge>,
     ) -> Self {
         let workers = workers.max(1);
         let capacity = capacity.max(1);
-        let depth = Arc::new(AtomicI64::new(0));
         let queues: Vec<Arc<Queue>> = (0..workers)
             .map(|_| {
                 Arc::new(Queue {
@@ -153,7 +150,7 @@ impl WorkerPool {
                             state = queue.ready.wait(state).unwrap();
                         }
                     };
-                    depth.fetch_sub(1, Ordering::Relaxed);
+                    depth.sub(1);
                     let (conn, seq, line) = job;
                     // A panicking handler must not wedge the connection:
                     // the line still gets a reply at its position.
@@ -182,7 +179,6 @@ impl WorkerPool {
         let workers = self.queues.len() as u64;
         let (index, sheddable) = match class {
             RouteClass::Data(key) => ((key % workers) as usize, true),
-            RouteClass::PerConnection => ((conn % workers) as usize, false),
             RouteClass::Control | RouteClass::Immediate | RouteClass::Deferred => (0, false),
         };
         let queue = &self.queues[index];
@@ -191,14 +187,16 @@ impl WorkerPool {
             return Dispatch::Shed;
         }
         state.jobs.push_back((conn, seq, line));
-        self.depth.fetch_add(1, Ordering::Relaxed);
+        // Still under the queue lock, so the worker's matching `sub`
+        // cannot run first and the gauge never reads negative.
+        self.depth.add(1);
         queue.ready.notify_one();
         Dispatch::Queued
     }
 
     /// Jobs queued but not yet picked up, across all workers.
     pub fn depth(&self) -> i64 {
-        self.depth.load(Ordering::Relaxed).max(0)
+        self.depth.get()
     }
 
     /// Close the queues and join every worker. Queued jobs are still
@@ -251,6 +249,7 @@ mod tests {
             workers,
             capacity,
             CompletionSender::new(tx, Arc::clone(&waker)),
+            Arc::new(Gauge::new()),
         );
         (pool, rx, waker)
     }
@@ -310,5 +309,62 @@ mod tests {
         let second = rx.recv().unwrap();
         assert_eq!(second.reply.line, "after");
         pool.finish();
+    }
+
+    #[test]
+    fn the_depth_gauge_counts_queued_lines_but_not_the_executing_one() {
+        /// Reports entering `process`, then blocks until released.
+        struct Gated {
+            entered: Sender<()>,
+            release: Mutex<Receiver<()>>,
+        }
+        impl NdjsonService for Gated {
+            fn classify(&self, _line: &str) -> RouteClass {
+                RouteClass::Data(0)
+            }
+            fn process(&self, line: &str) -> Reply {
+                self.entered.send(()).unwrap();
+                self.release.lock().unwrap().recv().unwrap();
+                Reply {
+                    line: line.to_string(),
+                    shutdown: false,
+                }
+            }
+            fn overloaded_reply(&self) -> String {
+                "overloaded".into()
+            }
+            fn parse_error_reply(&self, _detail: &str) -> String {
+                "parse-error".into()
+            }
+        }
+
+        const LINES: i64 = 5;
+        let (entered, entered_rx) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let (tx, rx) = mpsc::channel();
+        let depth = Arc::new(Gauge::new());
+        let pool = WorkerPool::start(
+            Arc::new(Gated {
+                entered,
+                release: Mutex::new(release_rx),
+            }),
+            1,
+            64,
+            CompletionSender::new(tx, Arc::new(Waker::new().unwrap())),
+            Arc::clone(&depth),
+        );
+        for seq in 0..LINES {
+            pool.submit(RouteClass::Data(0), 1, seq as u64, "line".into());
+        }
+        // The worker is inside `process` with the first line: that one
+        // has left the queue, the rest are still in it.
+        entered_rx.recv().unwrap();
+        assert_eq!(depth.get(), LINES - 1);
+        for _ in 0..LINES {
+            release.send(()).unwrap();
+        }
+        pool.finish();
+        assert_eq!(depth.get(), 0);
+        assert_eq!(rx.try_iter().count() as i64, LINES);
     }
 }

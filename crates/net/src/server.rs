@@ -1,8 +1,9 @@
 //! The event-loop NDJSON server: one reactor thread multiplexing every
 //! connection over epoll, a fixed worker pool executing request lines,
 //! and a reorder buffer per connection so replies always come back in
-//! the order the requests arrived — the wire contract the threaded
-//! front ends established.
+//! the order the requests arrived. [`serve_lines`] is the same contract
+//! for one blocking connection (stdin/stdout): no reactor, no pool, each
+//! line answered before the next is read.
 //!
 //! # Ordering and backpressure
 //!
@@ -20,44 +21,21 @@
 //! A shutdown line is detected at framing time: the listener closes,
 //! reads stop, in-flight work drains (bounded by `drain_grace`), queued
 //! replies flush, and the loop exits. Connections still open at that
-//! point are dropped, matching the threaded front ends.
+//! point are dropped.
 
 use std::collections::{BTreeMap, HashMap};
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::mpsc::{self, Receiver};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use weber_obs::Registry;
+use weber_obs::{Gauge, Registry};
 
 use crate::buffer::{LineFramer, WriteBuffer};
 use crate::poller::{Event, Interest, Poller, Waker};
 use crate::pool::{CompletionSender, Dispatch, RouteClass, WorkerPool};
-
-/// Which front-end implementation a CLI-selected listener runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoMode {
-    /// The epoll reactor in this crate (the default).
-    #[default]
-    Event,
-    /// The legacy thread-per-connection loop, kept as a fallback.
-    Threads,
-}
-
-impl std::str::FromStr for IoMode {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "event" | "epoll" => Ok(IoMode::Event),
-            "threads" | "thread" => Ok(IoMode::Threads),
-            other => Err(format!(
-                "unknown io mode '{other}' (expected 'event' or 'threads')"
-            )),
-        }
-    }
-}
 
 /// One reply line, plus whether it ends the server.
 pub struct Reply {
@@ -175,6 +153,11 @@ impl Default for ServerOptions {
     }
 }
 
+/// The gauge [`serve`] keeps in [`ServerOptions::registry`] at the number
+/// of lines queued for the workers and not yet picked up. A tier that
+/// reports the backlog itself (`weber serve`'s `health`) binds this name.
+pub const QUEUE_DEPTH_GAUGE: &str = "net.queue_depth";
+
 const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKER: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
@@ -246,7 +229,7 @@ impl NetMetrics {
 
 /// Run the event loop until a shutdown line arrives (or the listener
 /// dies). Returns the number of request lines admitted across all
-/// connections — the same count the threaded front ends report.
+/// connections.
 pub fn serve<S: NdjsonService>(
     service: Arc<S>,
     listener: TcpListener,
@@ -259,11 +242,16 @@ pub fn serve<S: NdjsonService>(
     let waker = Arc::new(Waker::new()?);
     let (tx, completions): (_, Receiver<crate::pool::Completion>) = mpsc::channel();
     let completion_sender = CompletionSender::new(tx, Arc::clone(&waker));
+    let queue_depth = match options.registry.as_ref() {
+        Some(registry) => registry.gauge(QUEUE_DEPTH_GAUGE),
+        None => Arc::new(Gauge::new()),
+    };
     let pool = WorkerPool::start(
         Arc::clone(&service),
         options.workers,
         options.queue_capacity,
         completion_sender.clone(),
+        queue_depth,
     );
 
     poller.add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
@@ -724,6 +712,46 @@ fn drain_completions(
     }
 }
 
+/// Serve one blocking connection: read a line, answer it, flush, read
+/// the next — the stdin/stdout front end of both tiers. Blank lines are
+/// skipped; a line that is not valid UTF-8 is answered at its position
+/// with [`NdjsonService::parse_error_reply`]. Stops at EOF or after the
+/// reply whose [`Reply::shutdown`] is set, returning how many lines were
+/// answered; a read or write error ends the loop and is returned.
+///
+/// Nothing is queued, so nothing is ever shed: a client that does not
+/// wait for replies (a file piped in) is simply read at the pace its
+/// lines execute.
+pub fn serve_lines<S: NdjsonService, R: BufRead, W: Write>(
+    service: &S,
+    mut reader: R,
+    writer: &mut W,
+) -> io::Result<u64> {
+    let mut answered = 0u64;
+    let mut raw = Vec::new();
+    loop {
+        raw.clear();
+        if reader.read_until(b'\n', &mut raw)? == 0 {
+            return Ok(answered);
+        }
+        let reply = match std::str::from_utf8(&raw).map(str::trim) {
+            Ok("") => continue,
+            Ok(line) => service.process(line),
+            Err(_) => Reply {
+                line: service.parse_error_reply("request is not valid UTF-8"),
+                shutdown: false,
+            },
+        };
+        answered += 1;
+        writer.write_all(reply.line.as_bytes())?;
+        writer.write_all(b"\n")?;
+        writer.flush()?;
+        if reply.shutdown {
+            return Ok(answered);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -870,5 +898,99 @@ mod tests {
         assert_eq!(lines[2], "OK2");
         client.write_all(b"{\"op\":\"shutdown\"}\n").unwrap();
         assert_eq!(handle.join().unwrap(), 4);
+    }
+
+    #[test]
+    fn a_saturated_queue_sheds_data_lines_but_answers_every_health_in_order() {
+        // One worker, one queue slot, sixteen 30 ms data lines pipelined
+        // in a single write with a health probe after each: the reactor
+        // frames the burst far faster than the worker drains it, so most
+        // data lines find the slot taken.
+        let options = ServerOptions {
+            workers: 1,
+            queue_capacity: 1,
+            ..ServerOptions::default()
+        };
+        let (addr, handle) = start(options);
+        let mut client = ClientStream::connect(addr).unwrap();
+        let mut burst = String::new();
+        for i in 0..16 {
+            burst.push_str(&format!("slow {i:02}\nhealth\n"));
+        }
+        client.write_all(burst.as_bytes()).unwrap();
+        let mut reader = BufReader::new(client.try_clone().unwrap());
+        let mut shed = 0;
+        for i in 0..16 {
+            let mut data = String::new();
+            reader.read_line(&mut data).unwrap();
+            if data.trim() == "overloaded" {
+                shed += 1;
+            } else {
+                // An answered data line sits at its own position.
+                assert_eq!(data.trim(), format!("SLOW {i:02}"));
+            }
+            let mut health = String::new();
+            reader.read_line(&mut health).unwrap();
+            assert_eq!(health.trim(), "HEALTH", "probe {i} was shed or reordered");
+        }
+        assert!(
+            shed > 0,
+            "a one-slot queue must shed under a pipelined burst"
+        );
+        assert!(shed < 16, "the first data line finds the queue empty");
+        client.write_all(b"{\"op\":\"shutdown\"}\n").unwrap();
+        assert_eq!(handle.join().unwrap(), 33);
+    }
+
+    fn lines_of(out: Vec<u8>) -> Vec<String> {
+        String::from_utf8(out)
+            .unwrap()
+            .lines()
+            .map(str::to_string)
+            .collect()
+    }
+
+    #[test]
+    fn serve_lines_answers_in_order_skipping_blanks_and_bad_utf8() {
+        // Blank keep-alives are not counted; the undecodable line keeps
+        // its position; a last line without a newline is still a line.
+        let input = b"one\n\n   \n\xff\xfe{broken\ntwo\nthree".to_vec();
+        let mut out = Vec::new();
+        let answered = serve_lines(&Upper, io::Cursor::new(input), &mut out).unwrap();
+        assert_eq!(answered, 4);
+        assert_eq!(
+            lines_of(out),
+            ["ONE", "error:request is not valid UTF-8", "TWO", "THREE"]
+        );
+    }
+
+    #[test]
+    fn serve_lines_stops_after_the_shutdown_reply() {
+        let input = b"one\n{\"op\":\"shutdown\"}\nnever read\n".to_vec();
+        let mut out = Vec::new();
+        let answered = serve_lines(&Upper, io::Cursor::new(input), &mut out).unwrap();
+        assert_eq!(answered, 2);
+        assert_eq!(lines_of(out), ["ONE", "{\"OP\":\"SHUTDOWN\"}"]);
+    }
+
+    #[test]
+    fn serve_lines_returns_the_write_error_of_a_vanished_peer() {
+        /// Fails every write, like a peer that reset.
+        struct DeadWriter;
+        impl Write for DeadWriter {
+            fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+                Err(io::Error::new(io::ErrorKind::BrokenPipe, "peer gone"))
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let err = serve_lines(
+            &Upper,
+            io::Cursor::new(b"one\ntwo\n".to_vec()),
+            &mut DeadWriter,
+        )
+        .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
     }
 }

@@ -718,13 +718,13 @@ mod tests {
         local.counter("route.requests").add(2);
         let backend = Registry::new();
         backend.counter("stream.ingests").add(7);
-        backend.gauge("stream.queue_depth").set(1);
+        backend.gauge("net.queue_depth").set(1);
         backend.histogram("stream.ingest_us").record(300);
         let mut merged = local.snapshot();
         merged.merge_namespaced("shard0", backend.snapshot());
         assert_eq!(merged.counter("route.requests"), Some(2));
         assert_eq!(merged.counter("shard0.stream.ingests"), Some(7));
-        assert_eq!(merged.gauge("shard0.stream.queue_depth"), Some(1));
+        assert_eq!(merged.gauge("shard0.net.queue_depth"), Some(1));
         assert_eq!(
             merged.histogram("shard0.stream.ingest_us").unwrap().count,
             1

@@ -1,10 +1,11 @@
 //! The `weber route` front end: NDJSON over stdin/stdout or TCP.
 //!
-//! The TCP front end defaults to the `weber-net` epoll reactor
-//! ([`IoMode::Event`]), and per-name ops (`seed`, `ingest`, `resolve`)
-//! take the fully asynchronous path: the reactor classifies them
-//! [`RouteClass::Deferred`] and hands each line (with a
-//! [`weber_net::Responder`]) to
+//! Both front ends execute every request line through one adapter,
+//! `RouterService`, the [`weber_net::NdjsonService`] over a [`Router`].
+//! The TCP front end runs it on the `weber-net` epoll reactor, and
+//! per-name ops (`seed`, `ingest`, `resolve`) take the fully asynchronous
+//! path: the reactor classifies them [`RouteClass::Deferred`] and hands
+//! each line (with a [`weber_net::Responder`]) to
 //! [`Router::process_line_deferred`][crate::Router::process_line_deferred],
 //! which submits the backend exchange to the outbound reactor and
 //! returns immediately. No thread waits on the backend round trip — a
@@ -19,59 +20,40 @@
 //! `shutdown`, `topology`) block for the slowest backend, so they
 //! classify [`RouteClass::Control`] and run on a worker thread; `health`
 //! and parse errors are answered straight from the reactor
-//! ([`RouteClass::Immediate`]) — both are local and cheap.
+//! ([`RouteClass::Immediate`]) — both are local and cheap. Over-cap
+//! clients are refused with one `overloaded` line, and `shutdown` drains
+//! the tier (backends included).
 //!
-//! [`IoMode::Threads`] keeps the legacy thread-per-client loop. Both
-//! modes share the wire contract: one reply per line in request order,
-//! over-cap clients refused with one `overloaded` line, `shutdown`
-//! draining the tier (backends included).
+//! The stdio front end ([`route_stdio`]) is one blocking connection
+//! ([`weber_net::serve_lines`]): each line is routed and answered before
+//! the next is read.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
 
-use weber_net::{IoMode, RouteClass, ServerOptions};
+use weber_net::{RouteClass, ServerOptions};
 use weber_stream::protocol;
 use weber_stream::StreamError;
 
 use crate::router::Router;
 
-/// How often the acceptor wakes to check the shutdown flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(25);
-/// Per-connection socket read timeout; bounds how long a shutdown can
-/// wait on an idle connection.
-const READ_TIMEOUT: Duration = Duration::from_millis(100);
-
-/// What one connection's loop did.
-struct ConnectionOutcome {
-    /// Request lines answered on this connection.
-    handled: u64,
-    /// Whether this connection asked the tier to shut down.
-    saw_shutdown: bool,
-    /// The connection-level I/O error that ended the loop, if any.
-    error: Option<std::io::Error>,
-}
-
 /// Tuning knobs of the routing front end.
 #[derive(Debug, Clone)]
 pub struct FrontOptions {
-    /// Worker threads forwarding request lines to backends (event mode;
-    /// each holds one connection's lines at a time).
+    /// Worker threads running the fan-out ops (per-name ops never
+    /// occupy one).
     pub workers: usize,
     /// Bounded queue slots per worker.
     pub queue_capacity: usize,
     /// Maximum simultaneous client connections.
     pub max_connections: usize,
-    /// Which front-end implementation to run.
-    pub io: IoMode,
-    /// Evict connections silent for this long (event mode only). `None`
-    /// (the default) never evicts — callers keep pooled router
-    /// connections idle for long stretches by design.
+    /// Evict connections silent for this long. `None` (the default)
+    /// never evicts — callers keep pooled router connections idle for
+    /// long stretches by design.
     pub idle_timeout: Option<Duration>,
     /// Lines admitted but unanswered per connection before its reads
-    /// pause (event mode only).
+    /// pause.
     pub max_pipeline: usize,
 }
 
@@ -81,7 +63,6 @@ impl Default for FrontOptions {
             workers: 4,
             queue_capacity: 256,
             max_connections: 64,
-            io: IoMode::Event,
             idle_timeout: None,
             max_pipeline: 256,
         }
@@ -89,68 +70,49 @@ impl Default for FrontOptions {
 }
 
 /// Route NDJSON from stdin to the backends until EOF or `shutdown`.
-/// Returns the number of requests handled.
-pub fn route_stdio(router: &Router) -> std::io::Result<u64> {
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    let outcome = run_connection(router, stdin.lock(), &mut out, None);
-    if let Some(e) = outcome.error {
-        return Err(e);
-    }
-    out.flush()?;
-    Ok(outcome.handled)
+/// Returns the number of requests answered.
+pub fn route_stdio(router: Arc<Router>) -> std::io::Result<u64> {
+    weber_net::serve_lines(
+        &RouterService { router },
+        std::io::stdin().lock(),
+        &mut std::io::stdout().lock(),
+    )
 }
 
 /// Bind `addr` and route clients concurrently. Returns the total number
-/// of requests handled across all connections.
-pub fn route_tcp(router: Arc<Router>, addr: &str, max_connections: usize) -> std::io::Result<u64> {
+/// of requests admitted across all connections.
+pub fn route_tcp(router: Arc<Router>, addr: &str, options: &FrontOptions) -> std::io::Result<u64> {
     let listener = TcpListener::bind(addr)?;
-    route_listener(router, listener, max_connections)
-}
-
-/// [`route_tcp`] with full front-end options.
-pub fn route_tcp_with(
-    router: Arc<Router>,
-    addr: &str,
-    options: &FrontOptions,
-) -> std::io::Result<u64> {
-    let listener = TcpListener::bind(addr)?;
-    route_listener_with(router, listener, options)
+    route_listener(router, listener, options)
 }
 
 /// [`route_tcp`] over an already-bound listener (callers needing an
-/// ephemeral port bind `:0` themselves). Runs the default event-loop
-/// front end; use [`route_listener_with`] to pick the mode and tune it.
+/// ephemeral port bind `:0` themselves). `net.*` metrics surface
+/// through the router's registry.
 pub fn route_listener(
     router: Arc<Router>,
     listener: TcpListener,
-    max_connections: usize,
+    options: &FrontOptions,
 ) -> std::io::Result<u64> {
-    route_listener_with(
-        router,
+    let registry = router.registry_handle();
+    let service = Arc::new(RouterService { router });
+    weber_net::serve(
+        service,
         listener,
-        &FrontOptions {
-            max_connections,
-            ..FrontOptions::default()
+        ServerOptions {
+            workers: options.workers,
+            queue_capacity: options.queue_capacity,
+            max_connections: options.max_connections.max(1),
+            idle_timeout: options.idle_timeout,
+            max_pipeline: options.max_pipeline,
+            registry: Some(registry),
+            ..ServerOptions::default()
         },
     )
 }
 
-/// [`route_listener`] with full front-end options.
-pub fn route_listener_with(
-    router: Arc<Router>,
-    listener: TcpListener,
-    options: &FrontOptions,
-) -> std::io::Result<u64> {
-    match options.io {
-        IoMode::Event => route_listener_event(router, listener, options),
-        IoMode::Threads => route_listener_threaded(router, listener, options.max_connections),
-    }
-}
-
-/// The adapter putting a [`Router`] behind the `weber-net` reactor.
-/// Per-name ops go [`RouteClass::Deferred`] onto the asynchronous
+/// The adapter putting a [`Router`] behind `weber-net`. On the reactor,
+/// per-name ops go [`RouteClass::Deferred`] onto the asynchronous
 /// outbound path; fan-out and topology ops go [`RouteClass::Control`]
 /// (they block a worker for the broadcast, never the reactor); `health`
 /// and unparseable lines are answered inline ([`RouteClass::Immediate`]).
@@ -212,221 +174,13 @@ impl weber_net::NdjsonService for RouterService {
     }
 }
 
-/// The epoll front end: one reactor, a shared worker pool, `net.*`
-/// metrics in the router's registry.
-fn route_listener_event(
-    router: Arc<Router>,
-    listener: TcpListener,
-    options: &FrontOptions,
-) -> std::io::Result<u64> {
-    let registry = router.registry_handle();
-    let service = Arc::new(RouterService { router });
-    weber_net::serve(
-        service,
-        listener,
-        ServerOptions {
-            workers: options.workers,
-            queue_capacity: options.queue_capacity,
-            max_connections: options.max_connections.max(1),
-            idle_timeout: options.idle_timeout,
-            max_pipeline: options.max_pipeline,
-            registry: Some(registry),
-            ..ServerOptions::default()
-        },
-    )
-}
-
-/// The legacy thread-per-connection front end, selectable with
-/// `--io threads`.
-fn route_listener_threaded(
-    router: Arc<Router>,
-    listener: TcpListener,
-    max_connections: usize,
-) -> std::io::Result<u64> {
-    listener.set_nonblocking(true)?;
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let active = Arc::new(AtomicUsize::new(0));
-    let total = Arc::new(AtomicU64::new(0));
-    let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
-
-    while !shutdown.load(Ordering::Relaxed) {
-        // Reap finished handler threads on every iteration — doing it
-        // only on the WouldBlock branch let the vector grow without
-        // bound under a steady stream of short-lived connections.
-        handles.retain(|h| !h.is_finished());
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                if active.load(Ordering::Relaxed) >= max_connections.max(1) {
-                    refuse_connection(stream, &peer.to_string());
-                    continue;
-                }
-                match spawn_handler(
-                    Arc::clone(&router),
-                    stream,
-                    peer.to_string(),
-                    Arc::clone(&shutdown),
-                    Arc::clone(&active),
-                    Arc::clone(&total),
-                ) {
-                    Ok(handle) => handles.push(handle),
-                    Err(e) => eprintln!("weber route: connection setup failed ({peer}): {e}"),
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::Interrupted
-                        | std::io::ErrorKind::ConnectionAborted
-                        | std::io::ErrorKind::ConnectionReset
-                ) =>
-            {
-                eprintln!("weber route: transient accept error: {e}");
-            }
-            Err(e) => {
-                shutdown.store(true, Ordering::Relaxed);
-                for handle in handles {
-                    let _ = handle.join();
-                }
-                return Err(e);
-            }
-        }
-    }
-
-    for handle in handles {
-        let _ = handle.join();
-    }
-    Ok(total.load(Ordering::Relaxed))
-}
-
-/// Answer an over-cap client with one `overloaded` error line and close.
-fn refuse_connection(mut stream: TcpStream, peer: &str) {
-    let _ = stream.set_nonblocking(false);
-    let line = protocol::err_response(&StreamError::Overloaded);
-    if writeln!(stream, "{line}").is_err() {
-        eprintln!("weber route: could not refuse connection {peer}");
-    }
-}
-
-/// Spawn the handler thread for one accepted client.
-fn spawn_handler(
-    router: Arc<Router>,
-    stream: TcpStream,
-    peer: String,
-    shutdown: Arc<AtomicBool>,
-    active: Arc<AtomicUsize>,
-    total: Arc<AtomicU64>,
-) -> std::io::Result<std::thread::JoinHandle<()>> {
-    stream.set_nonblocking(false)?;
-    stream.set_read_timeout(Some(READ_TIMEOUT))?;
-    let reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    active.fetch_add(1, Ordering::Relaxed);
-    Ok(std::thread::spawn(move || {
-        let outcome = run_connection(&router, reader, &mut writer, Some(&shutdown));
-        total.fetch_add(outcome.handled, Ordering::Relaxed);
-        if outcome.saw_shutdown {
-            shutdown.store(true, Ordering::Relaxed);
-        }
-        if let Some(e) = outcome.error {
-            eprintln!("weber route: connection {peer}: {e} (closing this connection only)");
-        }
-        let _ = writer.flush();
-        active.fetch_sub(1, Ordering::Relaxed);
-    }))
-}
-
-/// True when the error is a read-timeout tick rather than a dead peer.
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
-
-/// The shared connection loop: answer each line before reading the next;
-/// stop on EOF, `shutdown`, a raised stop flag, or an I/O error.
-fn run_connection<R: BufRead, W: Write>(
-    router: &Router,
-    mut reader: R,
-    writer: &mut W,
-    stop: Option<&AtomicBool>,
-) -> ConnectionOutcome {
-    let mut handled = 0u64;
-    let mut saw_shutdown = false;
-    let mut error: Option<std::io::Error> = None;
-    // Partial lines survive read-timeout ticks: read_line appends, and the
-    // buffer is only cleared once a complete line has been taken out.
-    let mut buf = String::new();
-
-    loop {
-        if stop.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
-            break;
-        }
-        match reader.read_line(&mut buf) {
-            Ok(0) => break, // EOF
-            Ok(_) => {
-                let line = buf.trim().to_string();
-                buf.clear();
-                if line.is_empty() {
-                    continue;
-                }
-                let outcome = router.process_line(&line);
-                handled += 1;
-                if let Err(e) =
-                    writeln!(writer, "{}", outcome.response).and_then(|()| writer.flush())
-                {
-                    error = Some(e);
-                    break;
-                }
-                if outcome.shutdown {
-                    saw_shutdown = true;
-                    break;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                // Same recovery as `weber serve`: an invalid-UTF-8 line
-                // has already been consumed through its newline, so answer
-                // a parse error and keep the connection open.
-                buf.clear();
-                let reply = protocol::err_response(&StreamError::Parse(format!(
-                    "line is not valid UTF-8: {e}"
-                )));
-                handled += 1;
-                if let Err(e) = writeln!(writer, "{reply}").and_then(|()| writer.flush()) {
-                    error = Some(e);
-                    break;
-                }
-            }
-            Err(e) if is_timeout(&e) => {}
-            Err(e) => {
-                error = Some(e);
-                break;
-            }
-        }
-    }
-
-    if error.is_none() {
-        if let Err(e) = writer.flush() {
-            error = Some(e);
-        }
-    }
-    ConnectionOutcome {
-        handled,
-        saw_shutdown,
-        error,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::router::RouterOptions;
     use std::io::Cursor;
 
-    fn dead_router() -> Router {
+    fn dead_tier() -> RouterService {
         // Ports nobody listens on; enough for loop-shape tests.
         let backends = vec!["127.0.0.1:1".to_string(), "127.0.0.1:2".to_string()];
         let options = RouterOptions {
@@ -434,20 +188,20 @@ mod tests {
             connect_timeout: Duration::from_millis(200),
             ..RouterOptions::default()
         };
-        Router::new(backends, options).unwrap()
+        RouterService {
+            router: Arc::new(Router::new(backends, options).unwrap()),
+        }
     }
 
     #[test]
     fn answers_each_line_in_order_and_recovers_from_garbage() {
-        let router = dead_router();
         let mut input: Vec<u8> = Vec::new();
         input.extend_from_slice(b"not json\n");
         input.extend_from_slice(b"\xff\xfe{broken\n");
         input.extend_from_slice(b"{\"op\":\"health\"}\n");
         let mut out: Vec<u8> = Vec::new();
-        let outcome = run_connection(&router, Cursor::new(input), &mut out, None);
-        assert!(outcome.error.is_none(), "{:?}", outcome.error);
-        assert_eq!(outcome.handled, 3);
+        let answered = weber_net::serve_lines(&dead_tier(), Cursor::new(input), &mut out).unwrap();
+        assert_eq!(answered, 3);
         let text = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3, "{text}");
@@ -460,28 +214,11 @@ mod tests {
     }
 
     #[test]
-    fn a_raised_stop_flag_ends_the_loop_before_reading() {
-        let router = dead_router();
-        let stop = AtomicBool::new(true);
-        let mut out: Vec<u8> = Vec::new();
-        let outcome = run_connection(
-            &router,
-            Cursor::new(b"{\"op\":\"health\"}\n".to_vec()),
-            &mut out,
-            Some(&stop),
-        );
-        assert_eq!(outcome.handled, 0);
-        assert!(!outcome.saw_shutdown);
-    }
-
-    #[test]
     fn shutdown_stops_after_answering_and_skips_later_lines() {
-        let router = dead_router();
         let input = b"{\"op\":\"shutdown\"}\n{\"op\":\"health\"}\n".to_vec();
         let mut out: Vec<u8> = Vec::new();
-        let outcome = run_connection(&router, Cursor::new(input), &mut out, None);
-        assert!(outcome.saw_shutdown);
-        assert_eq!(outcome.handled, 1);
+        let answered = weber_net::serve_lines(&dead_tier(), Cursor::new(input), &mut out).unwrap();
+        assert_eq!(answered, 1);
         let text = String::from_utf8(out).unwrap();
         let v = serde_json::parse_value(text.lines().next().unwrap()).unwrap();
         assert_eq!(v.get("op").unwrap().as_str(), Some("shutdown"));

@@ -50,12 +50,9 @@ pub mod pool;
 pub mod ring;
 pub mod router;
 
-pub use front::{
-    route_listener, route_listener_with, route_stdio, route_tcp, route_tcp_with, FrontOptions,
-};
+pub use front::{route_listener, route_stdio, route_tcp, FrontOptions};
 pub use health::HealthState;
 pub use merge::{snapshot_from_wire, ShardOutcome};
 pub use pool::{ExchangeCallback, ExchangeResult, OutboundPool, Phase, PoolOptions};
 pub use ring::{fnv1a, HashRing};
 pub use router::{spawn_prober, LineOutcome, Prober, Router, RouterError, RouterOptions};
-pub use weber_net::IoMode;

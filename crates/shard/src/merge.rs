@@ -478,14 +478,14 @@ mod tests {
     fn metrics_roundtrip_through_the_wire_format() {
         let registry = weber_obs::Registry::new();
         registry.counter("stream.ingested").add(9);
-        registry.gauge("stream.queue_depth").set(-1);
+        registry.gauge("net.queue_depth").set(-1);
         registry.histogram("stream.ingest_us").record(1_500);
         let wire =
             serde_json::parse_value(&weber_stream::protocol::ok_metrics(&registry.snapshot()))
                 .unwrap();
         let back = snapshot_from_wire(&wire);
         assert_eq!(back.counter("stream.ingested"), Some(9));
-        assert_eq!(back.gauge("stream.queue_depth"), Some(-1));
+        assert_eq!(back.gauge("net.queue_depth"), Some(-1));
         let hist = back.histogram("stream.ingest_us").unwrap();
         assert_eq!(hist.count, 1);
         assert_eq!(hist.sum, 1_500);

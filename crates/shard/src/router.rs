@@ -24,8 +24,8 @@
 //! have an asynchronous spine ([`Router::process_line_deferred`]) where
 //! retries, write fan-out and read failover advance from pool completion
 //! callbacks, and [`Router::process_line`] is the blocking wrapper
-//! (submit, wait on a channel) for the stdio front end, the threaded
-//! front end, probes and tests. One stalled backend therefore stalls
+//! (submit, wait on a channel) for the stdio front end, the front end's
+//! worker threads, probes and tests. One stalled backend therefore stalls
 //! only the exchanges addressed to it — never a front-end worker, and
 //! never requests owned by healthy shards.
 
@@ -306,56 +306,42 @@ impl Router {
         self.inner.probe_once();
     }
 
-    /// Handle one request line and block until its reply is ready:
-    /// the synchronous surface for the stdio front end, the threaded
-    /// front end, and tests. Always produces exactly one response line.
+    /// Handle one request line and block until its reply is ready: the
+    /// synchronous surface for the stdio front end, the front end's
+    /// worker threads, and tests. Always produces exactly one response
+    /// line.
     ///
     /// Per-name ops park only the *calling* thread — the exchanges they
     /// fan out ride the outbound reactor. Must not be called from a pool
     /// completion callback (it would wait on itself).
     pub fn process_line(&self, line: &str) -> LineOutcome {
-        match dispatch(&self.inner, line) {
-            Routed::Done(outcome) => outcome,
-            Routed::Write { op, name } => {
-                let (tx, rx) = mpsc::channel();
-                forward_write(
-                    &self.inner,
-                    &op,
-                    &name,
-                    line,
-                    Box::new(move |reply| {
-                        let _ = tx.send(reply);
-                    }),
-                );
-                LineOutcome::reply(wait_for_reply(rx))
-            }
-            Routed::Read { op, name } => {
-                let (tx, rx) = mpsc::channel();
-                forward_read(
-                    &self.inner,
-                    &op,
-                    &name,
-                    line,
-                    Box::new(move |reply| {
-                        let _ = tx.send(reply);
-                    }),
-                );
-                LineOutcome::reply(wait_for_reply(rx))
-            }
-        }
+        let (tx, rx) = mpsc::channel();
+        self.process_line_deferred(
+            line,
+            Box::new(move |outcome| {
+                let _ = tx.send(outcome);
+            }),
+        );
+        // A dropped sender (a panicking callback, a stopping pool) still
+        // yields one well-formed error line.
+        rx.recv().unwrap_or_else(|_| {
+            LineOutcome::reply(protocol::err_response(&StreamError::InvalidRequest(
+                "the routing tier dropped this request while shutting down".into(),
+            )))
+        })
     }
 
     /// Handle one request line without blocking the caller: per-name ops
     /// return immediately and `done` fires from the outbound reactor when
     /// the forwarded exchange (retries, fan-out, failover included)
-    /// resolves. This is the event front end's path — the server reactor
+    /// resolves. This is the TCP front end's path — the server reactor
     /// hands a line over and goes back to its sockets.
     ///
     /// Lines that never touch a backend (parse errors, `health`,
     /// malformed per-name ops) complete `done` before returning. Fan-out
     /// ops (`snapshot`, `shutdown`, …) block the calling thread for the
-    /// broadcast, exactly like [`Self::process_line`] — the event front
-    /// end classifies those onto worker threads, never onto its reactor.
+    /// broadcast — the TCP front end classifies those onto worker
+    /// threads, never onto its reactor.
     pub fn process_line_deferred(&self, line: &str, done: LineCallback) {
         match dispatch(&self.inner, line) {
             Routed::Done(outcome) => done(outcome),
@@ -377,16 +363,6 @@ impl Router {
     }
 }
 
-/// Block on a forwarded reply; a dropped sender (a panicking callback, a
-/// stopping pool) still yields one well-formed error line.
-fn wait_for_reply(rx: mpsc::Receiver<String>) -> String {
-    rx.recv().unwrap_or_else(|_| {
-        protocol::err_response(&StreamError::InvalidRequest(
-            "the routing tier dropped this request while shutting down".into(),
-        ))
-    })
-}
-
 /// Where one parsed line goes next.
 enum Routed {
     /// Answered without any asynchronous forwarding.
@@ -399,7 +375,7 @@ enum Routed {
 
 /// Parse and dispatch one line: local answers and (blocking) broadcasts
 /// resolve here; per-name ops come back as [`Routed::Write`]/[`Routed::Read`]
-/// for the caller to drive synchronously or asynchronously.
+/// for the caller to forward asynchronously.
 fn dispatch(inner: &Arc<Inner>, line: &str) -> Routed {
     inner.requests.inc();
     let value = match serde_json::parse_value(line) {

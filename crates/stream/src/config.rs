@@ -1,4 +1,4 @@
-//! Configuration of the streaming resolver and service.
+//! Configuration of the streaming resolver and its front end.
 
 use weber_core::resolver::ResolverConfig;
 use weber_graph::incremental::Linkage;
@@ -28,7 +28,7 @@ pub enum AssignmentPolicy {
 }
 
 /// Configuration of a [`StreamResolver`](crate::StreamResolver) and the
-/// service wrapped around it.
+/// front end wrapped around it.
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
     /// The batch resolver configuration used to train each name's decision
@@ -38,10 +38,12 @@ pub struct StreamConfig {
     pub scheme: WordVectorScheme,
     /// Cluster-assignment policy for arriving documents.
     pub assignment: AssignmentPolicy,
-    /// Admission-queue capacity of the service; a full queue rejects
-    /// requests with an `overloaded` response instead of blocking.
+    /// Per-worker admission-queue capacity of the TCP front end, as the
+    /// `health` op reports it; a full queue rejects data-plane requests
+    /// with an `overloaded` response instead of blocking.
     pub queue_capacity: usize,
-    /// Worker threads of the service.
+    /// Worker threads of the TCP front end, as the `health` op reports
+    /// them.
     pub workers: usize,
     /// Directory per-name state records persist into (and restore from).
     /// `None` disables persistence: `persist`/`restore` become no-ops and

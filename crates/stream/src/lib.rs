@@ -23,8 +23,9 @@
 //!   [`AssignmentPolicy`];
 //! - the whole thing is wrapped in a daemon ([`server`]) speaking NDJSON
 //!   over stdin/stdout or TCP — concurrent connections over one shared
-//!   resolver, with a bounded admission queue, a worker pool, and
-//!   explicit `overloaded` backpressure ([`service`]);
+//!   resolver on the `weber-net` reactor, with bounded per-worker
+//!   admission queues and explicit `overloaded` backpressure; every line
+//!   executes through [`service::process_line`];
 //! - per-name state optionally **persists** to a state directory as
 //!   atomic, versioned records (`persist`/`restore` ops, replay-based
 //!   restore) and an LRU bound (`max_names`) **evicts** cold names to
@@ -42,7 +43,7 @@
 //! Modules: [`config`] (resolver/service knobs), [`state`] (per-name
 //! block + model + live partition), [`resolver`] (the thread-safe
 //! multi-name façade), [`protocol`] (the NDJSON wire format), [`service`]
-//! (queue + workers + ordered responses), [`server`] (stdio/TCP loops),
+//! (one request in, one reply line out), [`server`] (stdio/TCP front ends),
 //! [`snapshot`] (state summaries + the on-disk record format), [`error`].
 
 pub mod config;
@@ -61,7 +62,5 @@ pub use metrics::StreamMetrics;
 pub use protocol::ConstraintAction;
 pub use resolver::{EntityTable, HealthReport, SeedDocument, SeedSummary, StreamResolver};
 pub use server::{serve_listener, serve_stdio, serve_tcp, TcpOptions};
-pub use service::StreamService;
 pub use snapshot::{NameRecord, NameSnapshot, Snapshot, StoredDocument};
 pub use state::{ClusterAssignment, NameState};
-pub use weber_net::IoMode;

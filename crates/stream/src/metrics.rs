@@ -40,7 +40,10 @@ pub struct StreamMetrics {
     pub restores: Arc<Counter>,
     /// Name records written to the state directory.
     pub persists: Arc<Counter>,
-    /// Requests currently sitting in the service's admission queues.
+    /// Request lines queued for the TCP front end's workers and not yet
+    /// picked up: [`weber_net::QUEUE_DEPTH_GAUGE`], which the `weber-net`
+    /// worker pool keeps in this same registry. Reads 0 when no listener
+    /// runs on this resolver (stdio, embedders).
     pub queue_depth: Arc<Gauge>,
     /// Wall time of one entity-table materialization (constraint-aware
     /// splitting + stable-ID matching + `SAME_AS` unions), µs.
@@ -83,7 +86,7 @@ impl StreamMetrics {
             evictions: s.counter("evictions"),
             restores: s.counter("restores"),
             persists: s.counter("persists"),
-            queue_depth: s.gauge("queue_depth"),
+            queue_depth: registry.gauge(weber_net::QUEUE_DEPTH_GAUGE),
             cache: Arc::new(CacheStats::new()),
             registry,
         }
@@ -156,7 +159,7 @@ mod tests {
         m.ingest_us.record(42);
         let text = m.render_text();
         assert!(text.contains("stream.ingests 0\n"), "{text}");
-        assert!(text.contains("stream.queue_depth 0\n"), "{text}");
+        assert!(text.contains("net.queue_depth 0\n"), "{text}");
         assert!(text.contains("stream.ingest_us_count 1\n"), "{text}");
         assert!(text.contains("stream.cache.hits 0\n"), "{text}");
     }

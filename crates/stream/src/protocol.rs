@@ -956,7 +956,7 @@ mod tests {
     fn metrics_response_carries_counters_and_histograms() {
         let registry = weber_obs::Registry::new();
         registry.counter("stream.cache.hits").add(7);
-        registry.gauge("stream.queue_depth").set(2);
+        registry.gauge("net.queue_depth").set(2);
         registry.histogram("stream.ingest_us").record(1_500);
         let line = ok_metrics(&registry.snapshot());
         let v = serde_json::parse_value(&line).unwrap();
@@ -965,7 +965,7 @@ mod tests {
         let counters = v.get("counters").unwrap();
         assert_eq!(counters.get("stream.cache.hits").unwrap().as_u64(), Some(7));
         let gauges = v.get("gauges").unwrap();
-        assert_eq!(gauges.get("stream.queue_depth").unwrap().as_u64(), Some(2));
+        assert_eq!(gauges.get("net.queue_depth").unwrap().as_u64(), Some(2));
         let hist = v
             .get("histograms")
             .unwrap()

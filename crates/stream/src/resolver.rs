@@ -46,7 +46,8 @@ pub struct HealthReport {
     pub uptime: std::time::Duration,
     /// Names currently live in memory.
     pub names: usize,
-    /// Requests sitting in the service's admission queues right now.
+    /// Request lines queued for the TCP front end's workers right now
+    /// (not counting the ones executing).
     pub queue_depth: i64,
     /// Configured worker threads.
     pub workers: usize,

@@ -1,64 +1,49 @@
 //! The `weber serve` daemon: NDJSON over stdin/stdout or a TCP socket.
 //!
-//! The TCP front end defaults to the `weber-net` epoll reactor
-//! ([`IoMode::Event`]): one acceptor/reactor thread multiplexes every
+//! Both front ends execute every request line through one adapter,
+//! `ResolverService`, the [`weber_net::NdjsonService`] over a
+//! [`StreamResolver`]. The TCP front end runs it on the `weber-net`
+//! epoll reactor: one acceptor/reactor thread multiplexes every
 //! connection, a small worker pool shared by all clients executes request
-//! lines (sticky-routed by name, exactly like
-//! [`StreamService`](crate::service::StreamService) routes its queues),
-//! and a per-connection reorder buffer keeps replies in request order.
-//! That holds tens of thousands of mostly-idle persistent connections on
-//! a handful of threads. `health` probes are answered on the reactor
-//! thread itself, bypassing the queues; data-plane lines shed with an
-//! `overloaded` reply when their worker queue is full; control-plane
-//! lines never shed.
+//! lines (named ops stick to `hash(name) % workers`, so one name's lines
+//! run in admission order), and a per-connection reorder buffer keeps
+//! replies in request order. That holds tens of thousands of mostly-idle
+//! persistent connections on a handful of threads. `health` probes are
+//! answered on the reactor thread itself, bypassing the queues;
+//! data-plane lines shed with an `overloaded` reply when their worker
+//! queue is full; control-plane lines never shed; over-cap clients get
+//! one `overloaded` line and a close; any client sending `shutdown`
+//! drains the daemon.
 //!
-//! [`IoMode::Threads`] keeps the legacy model — one handler thread per
-//! client, each with its own `StreamService` — as a fallback. In both
-//! modes the wire contract is identical: one reply line per request
-//! line, in request order; over-cap clients get one `overloaded` line
-//! and a close; any client sending `shutdown` drains the daemon.
-//!
-//! The stdio front end ([`serve_stdio`]) still runs the classic
-//! single-connection read loop.
+//! The stdio front end ([`serve_stdio`]) is one blocking connection
+//! ([`weber_net::serve_lines`]): each line is answered before the next
+//! is read, so nothing queues and nothing is shed.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
 
-use weber_net::{IoMode, RouteClass, ServerOptions};
+use weber_net::{RouteClass, ServerOptions};
 
 use crate::error::StreamError;
 use crate::protocol::{self, Request};
 use crate::resolver::StreamResolver;
-use crate::service::StreamService;
-
-/// How often blocked reads and the acceptor wake up to check the shared
-/// shutdown flag.
-const POLL_INTERVAL: Duration = Duration::from_millis(25);
-/// Per-connection socket read timeout; bounds how long a shutdown can
-/// wait on an idle connection.
-const READ_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// Tuning knobs of the TCP front end.
 #[derive(Debug, Clone)]
 pub struct TcpOptions {
-    /// Worker threads executing request lines (shared by every
-    /// connection in event mode, per connection in threads mode).
+    /// Worker threads executing request lines, shared by every
+    /// connection.
     pub workers: usize,
     /// Admission-queue capacity per worker.
     pub queue_capacity: usize,
     /// Maximum simultaneous client connections; clients beyond the cap
     /// are answered with an `overloaded` error line and closed.
     pub max_connections: usize,
-    /// Which front-end implementation to run.
-    pub io: IoMode,
-    /// Evict connections silent for this long (event mode only). `None`
-    /// never evicts.
+    /// Evict connections silent for this long. `None` never evicts.
     pub idle_timeout: Option<Duration>,
     /// Lines admitted but unanswered per connection before its reads
-    /// pause (event mode only).
+    /// pause.
     pub max_pipeline: usize,
 }
 
@@ -68,47 +53,20 @@ impl Default for TcpOptions {
             workers: 2,
             queue_capacity: 64,
             max_connections: 64,
-            io: IoMode::Event,
             idle_timeout: None,
             max_pipeline: 256,
         }
     }
 }
 
-/// What one connection's read loop did.
-struct ConnectionOutcome {
-    /// Requests admitted on this connection.
-    admitted: u64,
-    /// Whether this connection requested daemon shutdown.
-    saw_shutdown: bool,
-    /// The connection-level I/O error that ended the loop, if any. Every
-    /// request admitted before the error was still processed.
-    error: Option<std::io::Error>,
-}
-
 /// Serve NDJSON over stdin/stdout until EOF or `shutdown`. Returns the
-/// number of requests admitted.
-pub fn serve_stdio(
-    resolver: Arc<StreamResolver>,
-    workers: usize,
-    queue_capacity: usize,
-) -> std::io::Result<u64> {
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    let outcome = run_connection(
-        resolver,
-        stdin.lock(),
-        &mut out,
-        workers,
-        queue_capacity,
-        None,
-    );
-    if let Some(e) = outcome.error {
-        return Err(e);
-    }
-    out.flush()?;
-    Ok(outcome.admitted)
+/// number of requests answered.
+pub fn serve_stdio(resolver: Arc<StreamResolver>) -> std::io::Result<u64> {
+    weber_net::serve_lines(
+        &ResolverService { resolver },
+        std::io::stdin().lock(),
+        &mut std::io::stdout().lock(),
+    )
 }
 
 /// Bind `addr` and serve clients concurrently (see the module docs for
@@ -125,30 +83,38 @@ pub fn serve_tcp(
 
 /// [`serve_tcp`] over an already-bound listener (callers that need the
 /// ephemeral port bind with `:0` themselves and pass the listener in).
-/// Dispatches to the epoll reactor or the legacy thread-per-connection
-/// loop according to [`TcpOptions::io`].
+/// `net.*` metrics surface through the resolver's registry.
 pub fn serve_listener(
     resolver: Arc<StreamResolver>,
     listener: TcpListener,
     options: &TcpOptions,
 ) -> std::io::Result<u64> {
-    match options.io {
-        IoMode::Event => serve_listener_event(resolver, listener, options),
-        IoMode::Threads => serve_listener_threaded(resolver, listener, options),
-    }
+    let registry = Arc::clone(resolver.metrics().registry());
+    let service = Arc::new(ResolverService { resolver });
+    weber_net::serve(
+        service,
+        listener,
+        ServerOptions {
+            workers: options.workers,
+            queue_capacity: options.queue_capacity,
+            max_connections: options.max_connections.max(1),
+            idle_timeout: options.idle_timeout,
+            max_pipeline: options.max_pipeline,
+            registry: Some(registry),
+            ..ServerOptions::default()
+        },
+    )
 }
 
-/// The adapter putting a [`StreamResolver`] behind the `weber-net`
-/// reactor: classification mirrors
-/// [`StreamService`](crate::service::StreamService)'s routing (named ops
-/// stick to `hash(name)`, control ops are never shed, `health` bypasses
-/// the queues entirely), and processing goes through the same
-/// [`process_line`](crate::service::process_line) every other path uses.
+/// The adapter putting a [`StreamResolver`] behind `weber-net`: named
+/// ops stick to `hash(name)`, control ops are never shed, `health`
+/// bypasses the queues entirely, and processing goes through
+/// [`process_line`](crate::service::process_line).
 struct ResolverService {
     resolver: Arc<StreamResolver>,
 }
 
-/// The same name→worker key `StreamService::route` computes.
+/// The sticky-routing key of a name: equal names, equal worker.
 fn name_key(name: &str) -> u64 {
     use std::hash::{Hash, Hasher};
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
@@ -200,285 +166,11 @@ impl weber_net::NdjsonService for ResolverService {
     }
 }
 
-/// The epoll front end: one reactor, one shared worker pool, `net.*`
-/// metrics surfaced through the resolver's registry.
-fn serve_listener_event(
-    resolver: Arc<StreamResolver>,
-    listener: TcpListener,
-    options: &TcpOptions,
-) -> std::io::Result<u64> {
-    let registry = Arc::clone(resolver.metrics().registry());
-    let service = Arc::new(ResolverService { resolver });
-    weber_net::serve(
-        service,
-        listener,
-        ServerOptions {
-            workers: options.workers,
-            queue_capacity: options.queue_capacity,
-            max_connections: options.max_connections.max(1),
-            idle_timeout: options.idle_timeout,
-            max_pipeline: options.max_pipeline,
-            registry: Some(registry),
-            ..ServerOptions::default()
-        },
-    )
-}
-
-/// The legacy thread-per-connection front end, selectable with
-/// `--io threads`.
-fn serve_listener_threaded(
-    resolver: Arc<StreamResolver>,
-    listener: TcpListener,
-    options: &TcpOptions,
-) -> std::io::Result<u64> {
-    listener.set_nonblocking(true)?;
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let active = Arc::new(AtomicUsize::new(0));
-    let total = Arc::new(AtomicU64::new(0));
-    let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
-
-    while !shutdown.load(Ordering::Relaxed) {
-        // Reap finished handler threads on every iteration — doing it
-        // only on the WouldBlock branch let the vector grow without
-        // bound under a steady stream of short-lived connections.
-        handles.retain(|h| !h.is_finished());
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                if active.load(Ordering::Relaxed) >= options.max_connections.max(1) {
-                    refuse_connection(stream, &peer.to_string());
-                    continue;
-                }
-                match spawn_handler(
-                    Arc::clone(&resolver),
-                    stream,
-                    peer.to_string(),
-                    options,
-                    Arc::clone(&shutdown),
-                    Arc::clone(&active),
-                    Arc::clone(&total),
-                ) {
-                    Ok(handle) => handles.push(handle),
-                    // Socket setup failed for this one client; the daemon
-                    // keeps serving everyone else.
-                    Err(e) => eprintln!("weber serve: connection setup failed ({peer}): {e}"),
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::Interrupted
-                        | std::io::ErrorKind::ConnectionAborted
-                        | std::io::ErrorKind::ConnectionReset
-                ) =>
-            {
-                // A client gave up between SYN and accept; not a listener
-                // failure.
-                eprintln!("weber serve: transient accept error: {e}");
-            }
-            Err(e) => {
-                // Listener-level failure: drain in-flight connections,
-                // then report it.
-                shutdown.store(true, Ordering::Relaxed);
-                for handle in handles {
-                    let _ = handle.join();
-                }
-                return Err(e);
-            }
-        }
-    }
-
-    // Graceful shutdown: every in-flight connection notices the flag at
-    // its next read-timeout tick and drains.
-    for handle in handles {
-        let _ = handle.join();
-    }
-    Ok(total.load(Ordering::Relaxed))
-}
-
-/// Answer an over-cap client with one `overloaded` error line and close.
-fn refuse_connection(mut stream: TcpStream, peer: &str) {
-    let _ = stream.set_nonblocking(false);
-    let line = protocol::err_response(&StreamError::Overloaded);
-    if writeln!(stream, "{line}").is_err() {
-        eprintln!("weber serve: could not refuse connection {peer}");
-    }
-}
-
-/// Spawn the handler thread for one accepted client.
-fn spawn_handler(
-    resolver: Arc<StreamResolver>,
-    stream: TcpStream,
-    peer: String,
-    options: &TcpOptions,
-    shutdown: Arc<AtomicBool>,
-    active: Arc<AtomicUsize>,
-    total: Arc<AtomicU64>,
-) -> std::io::Result<std::thread::JoinHandle<()>> {
-    // The listener is non-blocking; the per-connection socket must block,
-    // but only up to the read timeout so the loop can poll the shutdown
-    // flag while idle.
-    stream.set_nonblocking(false)?;
-    stream.set_read_timeout(Some(READ_TIMEOUT))?;
-    let reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    let workers = options.workers;
-    let queue_capacity = options.queue_capacity;
-    // Count the connection before the thread starts so the cap check in
-    // the acceptor never over-admits.
-    active.fetch_add(1, Ordering::Relaxed);
-    Ok(std::thread::spawn(move || {
-        let outcome = run_connection(
-            resolver,
-            reader,
-            &mut writer,
-            workers,
-            queue_capacity,
-            Some(&shutdown),
-        );
-        total.fetch_add(outcome.admitted, Ordering::Relaxed);
-        if outcome.saw_shutdown {
-            shutdown.store(true, Ordering::Relaxed);
-        }
-        if let Some(e) = outcome.error {
-            // Isolated: this connection dies, the daemon keeps serving.
-            eprintln!("weber serve: connection {peer}: {e} (closing this connection only)");
-        }
-        let _ = writer.flush();
-        active.fetch_sub(1, Ordering::Relaxed);
-    }))
-}
-
-/// True when the error is a read-timeout tick rather than a dead peer.
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
-
-/// The shared connection loop: admit lines, stream ordered responses to
-/// the writer as they complete, stop on EOF, `shutdown`, a raised stop
-/// flag, or a connection-level I/O error. Every admitted request is
-/// processed before the loop returns, even when the peer is gone.
-fn run_connection<R: BufRead, W: Write>(
-    resolver: Arc<StreamResolver>,
-    mut reader: R,
-    writer: &mut W,
-    workers: usize,
-    queue_capacity: usize,
-    stop: Option<&AtomicBool>,
-) -> ConnectionOutcome {
-    let service = StreamService::start(resolver, workers, queue_capacity);
-    let mut admitted = 0u64;
-    let mut emitted = 0u64;
-    let responses = service.responses();
-    let mut saw_shutdown = false;
-    let mut error: Option<std::io::Error> = None;
-    // Partial lines survive read-timeout ticks: read_line appends, and the
-    // buffer is only cleared once a complete line has been taken out.
-    let mut buf = String::new();
-
-    'read: loop {
-        if stop.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
-            break;
-        }
-        match reader.read_line(&mut buf) {
-            Ok(0) => break, // EOF
-            Ok(_) => {
-                let line = buf.trim().to_string();
-                buf.clear();
-                if line.is_empty() {
-                    continue;
-                }
-                saw_shutdown = protocol::is_shutdown(&line);
-                service.submit(line);
-                admitted += 1;
-                // Opportunistically stream whatever responses are ready,
-                // keeping the writer hot without blocking admission on
-                // slow requests.
-                while let Ok(response) = responses.try_recv() {
-                    if let Err(e) = writeln!(writer, "{response}") {
-                        error = Some(e);
-                        break 'read;
-                    }
-                    emitted += 1;
-                }
-                if let Err(e) = writer.flush() {
-                    error = Some(e);
-                    break;
-                }
-                if saw_shutdown {
-                    break;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                // A line that is not valid UTF-8. `read_line` has already
-                // consumed it through the newline (and rolled the buffer
-                // back), so the stream is positioned at the next line:
-                // answer a parse error at this request's position and keep
-                // the connection open instead of dropping the client.
-                buf.clear();
-                service.submit_error(&StreamError::Parse(format!("line is not valid UTF-8: {e}")));
-                admitted += 1;
-            }
-            Err(e) if is_timeout(&e) => {
-                // Idle tick: flush anything that completed meanwhile, then
-                // go back to polling (the stop check above runs first).
-                while let Ok(response) = responses.try_recv() {
-                    if let Err(e) = writeln!(writer, "{response}") {
-                        error = Some(e);
-                        break 'read;
-                    }
-                    emitted += 1;
-                }
-                if let Err(e) = writer.flush() {
-                    error = Some(e);
-                    break;
-                }
-            }
-            Err(e) => {
-                error = Some(e);
-                break;
-            }
-        }
-    }
-
-    // Drain: process everything that was admitted, answering the peer as
-    // long as it is still there (a vanished peer only stops the writes).
-    let leftover = service.finish();
-    while emitted < admitted {
-        match leftover.recv() {
-            Ok(response) => {
-                if error.is_none() {
-                    if let Err(e) = writeln!(writer, "{response}") {
-                        error = Some(e);
-                    }
-                }
-                emitted += 1;
-            }
-            Err(_) => break,
-        }
-    }
-    if error.is_none() {
-        if let Err(e) = writer.flush() {
-            error = Some(e);
-        }
-    }
-    ConnectionOutcome {
-        admitted,
-        saw_shutdown,
-        error,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::StreamConfig;
-    use std::io::Cursor;
+    use std::io::{BufRead, BufReader, Cursor, Write};
     use weber_extract::gazetteer::Gazetteer;
 
     fn resolver() -> Arc<StreamResolver> {
@@ -501,16 +193,20 @@ mod tests {
         .to_string()
     }
 
-    fn run(input: String) -> Vec<String> {
+    /// The stdio front end over in-memory pipes.
+    fn run(input: impl Into<Vec<u8>>) -> Vec<String> {
+        let service = ResolverService {
+            resolver: resolver(),
+        };
         let mut out: Vec<u8> = Vec::new();
-        let outcome = run_connection(resolver(), Cursor::new(input), &mut out, 2, 16, None);
-        assert!(outcome.error.is_none(), "{:?}", outcome.error);
+        let answered =
+            weber_net::serve_lines(&service, Cursor::new(input.into()), &mut out).unwrap();
         let lines: Vec<String> = String::from_utf8(out)
             .unwrap()
             .lines()
             .map(str::to_string)
             .collect();
-        assert_eq!(lines.len() as u64, outcome.admitted);
+        assert_eq!(lines.len() as u64, answered);
         lines
     }
 
@@ -556,78 +252,23 @@ mod tests {
     }
 
     #[test]
-    fn blank_lines_are_skipped_and_errors_are_answered() {
-        let input = "\n\ngarbage\n".to_string();
-        let lines = run(input);
-        assert_eq!(lines.len(), 1);
-        let v = serde_json::parse_value(&lines[0]).unwrap();
-        assert_eq!(v.get("ok").unwrap().as_bool(), Some(false));
-    }
-
-    #[test]
-    fn invalid_utf8_lines_get_a_parse_error_not_a_dropped_connection() {
-        // \xff\xfe is not valid UTF-8: read_line fails with InvalidData.
-        // The old loop treated that as a connection error and hung up;
-        // now the line is answered with a parse error and the next line
-        // is served normally.
+    fn garbage_and_invalid_utf8_get_parse_errors_not_a_dropped_connection() {
+        // Blank lines are skipped; a line that is not JSON and a line that
+        // is not even UTF-8 (\xff\xfe) are each answered with a parse
+        // error at their position, and the next line is served normally.
         let mut input: Vec<u8> = Vec::new();
+        input.extend_from_slice(b"\n\ngarbage\n");
         input.extend_from_slice(b"\xff\xfe{garbage\n");
         input.extend_from_slice(b"{\"op\":\"flush\"}\n");
-        let mut out: Vec<u8> = Vec::new();
-        let outcome = run_connection(resolver(), Cursor::new(input), &mut out, 2, 16, None);
-        assert!(outcome.error.is_none(), "{:?}", outcome.error);
-        assert_eq!(outcome.admitted, 2);
-        let text = String::from_utf8(out).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2, "{text}");
-        let first = serde_json::parse_value(lines[0]).unwrap();
-        assert_eq!(first.get("ok").unwrap().as_bool(), Some(false));
-        assert_eq!(first.get("kind").unwrap().as_str(), Some("parse"));
-        let second = serde_json::parse_value(lines[1]).unwrap();
-        assert_eq!(second.get("op").unwrap().as_str(), Some("flush"));
-    }
-
-    #[test]
-    fn a_raised_stop_flag_ends_the_loop_before_reading() {
-        let stop = AtomicBool::new(true);
-        let mut out: Vec<u8> = Vec::new();
-        let input = format!("{}\n", seed_line());
-        let outcome = run_connection(resolver(), Cursor::new(input), &mut out, 2, 16, Some(&stop));
-        assert_eq!(outcome.admitted, 0);
-        assert!(!outcome.saw_shutdown);
-        assert!(outcome.error.is_none());
-    }
-
-    #[test]
-    fn a_dead_writer_is_reported_not_propagated_as_panic() {
-        /// Writer that fails after the first byte, like a peer that reset.
-        struct DeadWriter;
-        impl Write for DeadWriter {
-            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
-                Err(std::io::Error::new(
-                    std::io::ErrorKind::BrokenPipe,
-                    "peer gone",
-                ))
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
+        let lines = run(input);
+        assert_eq!(lines.len(), 3, "{lines:?}");
+        for line in &lines[..2] {
+            let v = serde_json::parse_value(line).unwrap();
+            assert_eq!(v.get("ok").unwrap().as_bool(), Some(false));
+            assert_eq!(v.get("kind").unwrap().as_str(), Some("parse"), "{line}");
         }
-        let input = format!(
-            "{}\n{}\n",
-            seed_line(),
-            r#"{"op":"ingest","name":"cohen","text":"databases still count"}"#
-        );
-        let mut writer = DeadWriter;
-        let outcome = run_connection(resolver(), Cursor::new(input), &mut writer, 2, 16, None);
-        assert!(
-            outcome.error.is_some(),
-            "the write failure must be surfaced"
-        );
-        // Everything read before the failure was still admitted and
-        // processed; the error is the connection's problem, not the
-        // daemon's.
-        assert!(outcome.admitted >= 1);
+        let flush = serde_json::parse_value(&lines[2]).unwrap();
+        assert_eq!(flush.get("op").unwrap().as_str(), Some("flush"));
     }
 
     #[test]
@@ -664,32 +305,54 @@ mod tests {
     }
 
     #[test]
-    fn threaded_io_mode_round_trips_too() {
+    fn a_pipelined_resolve_sees_the_ingest_admitted_before_it() {
+        // One write, no waiting: `resolve` must classify to the same
+        // worker as its name's writes, or it would run on an idle worker
+        // while the seed is still training and miss the grown block. The
+        // name is one whose worker is not worker 0, where a `resolve`
+        // mistaken for a control op would land.
         use std::net::TcpStream;
+        let options = TcpOptions::default();
+        let name = (0..)
+            .map(|i| format!("name{i}"))
+            .find(|n| !name_key(n).is_multiple_of(options.workers as u64))
+            .unwrap();
         let resolver = resolver();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let options = TcpOptions {
-            io: weber_net::IoMode::Threads,
-            ..TcpOptions::default()
-        };
         let server =
             std::thread::spawn(move || serve_listener(resolver, listener, &options).unwrap());
         let client = TcpStream::connect(addr).unwrap();
         let mut writer = client.try_clone().unwrap();
         let mut reader = BufReader::new(client);
-        writeln!(writer, "{}", seed_line()).unwrap();
-        writeln!(writer, r#"{{"op":"shutdown"}}"#).unwrap();
-        writer.flush().unwrap();
+        // Enough queued writes that a resolve overtaking them on another
+        // worker cannot lose the race by luck.
+        const INGESTS: usize = 24;
+        let mut script = format!("{}\n", seed_line().replace("cohen", &name));
+        for i in 0..INGESTS {
+            script.push_str(&format!(
+                r#"{{"op":"ingest","name":"{name}","text":"databases page {i}"}}"#
+            ));
+            script.push('\n');
+        }
+        script.push_str(&format!("{{\"op\":\"resolve\",\"name\":\"{name}\"}}\n"));
+        script.push_str("{\"op\":\"shutdown\"}\n");
+        writer.write_all(script.as_bytes()).unwrap();
         let mut lines = Vec::new();
-        for _ in 0..2 {
+        for _ in 0..INGESTS + 3 {
             let mut line = String::new();
             reader.read_line(&mut line).unwrap();
             lines.push(line.trim().to_string());
         }
-        assert_eq!(server.join().unwrap(), 2);
-        assert!(lines[0].contains("\"ok\":true"), "{}", lines[0]);
-        assert!(lines[1].contains("shutdown"), "{}", lines[1]);
+        assert_eq!(server.join().unwrap(), INGESTS as u64 + 3);
+        let resolve = &lines[INGESTS + 1];
+        let v = serde_json::parse_value(resolve).unwrap();
+        assert_eq!(v.get("op").unwrap().as_str(), Some("resolve"), "{resolve}");
+        assert_eq!(
+            v.get("docs").unwrap().as_u64(),
+            Some(4 + INGESTS as u64),
+            "{resolve}"
+        );
     }
 
     #[test]

@@ -1,52 +1,12 @@
-//! The request-processing service: bounded admission queues, a worker
-//! pool, and an in-admission-order response stream.
-//!
-//! Requests enter through [`StreamService::submit`]. Data-plane requests
-//! (`seed`, `ingest`) never block: when the target queue is full they are
-//! rejected immediately with an `overloaded` response (explicit
-//! backpressure — clients retry, the daemon stays responsive). Rare
-//! control-plane requests (`snapshot`, `metrics`, `persist`, `restore`,
-//! `flush`, `shutdown`) instead wait for a queue slot — shedding a
-//! shutdown would be absurd.
-//! Requests are routed to workers by name
-//! (`hash(name) % workers`), so all operations on one name execute in
-//! admission order — a seed is always applied before the ingests admitted
-//! after it — while different names proceed in parallel. A collector
-//! thread reorders completions by admission sequence number so the
-//! response stream matches the request order exactly. That makes `flush`
-//! an ordering barrier for free: its response is emitted only after every
-//! earlier request has been answered.
+//! Request execution: one parsed [`Request`] (or one raw line) against a
+//! [`StreamResolver`], one reply line back. This is the whole service
+//! layer — queueing, ordering and backpressure belong to the front end
+//! (`weber-net`'s reactor for TCP, its blocking loop for stdio; see
+//! [`server`](crate::server)), which calls [`process_line`] from whatever
+//! thread it chose.
 
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
-
-use crate::error::StreamError;
 use crate::protocol::{self, Request};
 use crate::resolver::StreamResolver;
-
-struct Job {
-    seq: u64,
-    request: Request,
-}
-
-/// Handle to a running service: submit request lines, read response lines.
-pub struct StreamService {
-    /// Kept for admission-time requests (`health`) answered without a
-    /// queue round-trip.
-    resolver: Arc<StreamResolver>,
-    queues: Vec<Sender<Job>>,
-    done_tx: Sender<(u64, String)>,
-    output: Receiver<String>,
-    next_seq: AtomicU64,
-    queue_depth: Arc<weber_obs::Gauge>,
-    workers: Vec<JoinHandle<()>>,
-    collector: Option<JoinHandle<()>>,
-}
 
 /// Process one parsed request against the resolver.
 pub fn process_request(resolver: &StreamResolver, request: &Request) -> String {
@@ -106,181 +66,11 @@ pub fn process_request(resolver: &StreamResolver, request: &Request) -> String {
     }
 }
 
-/// Parse and process one request line synchronously (the queue-less
-/// convenience path; the service's own parsing happens at admission).
+/// Parse and process one request line.
 pub fn process_line(resolver: &StreamResolver, line: &str) -> String {
     match protocol::parse_request(line) {
         Ok(request) => process_request(resolver, &request),
         Err(e) => protocol::err_response(&e),
-    }
-}
-
-impl StreamService {
-    /// Start `workers` worker threads, each with a bounded queue of
-    /// `queue_capacity` slots (both clamped to at least 1).
-    pub fn start(resolver: Arc<StreamResolver>, workers: usize, queue_capacity: usize) -> Self {
-        let workers = workers.max(1);
-        let per_queue = queue_capacity.max(1);
-        let (done_tx, done_rx) = unbounded::<(u64, String)>();
-        let (out_tx, output) = unbounded::<String>();
-        let queue_depth = Arc::clone(&resolver.metrics().queue_depth);
-
-        let mut queues = Vec::with_capacity(workers);
-        let handles: Vec<JoinHandle<()>> = (0..workers)
-            .map(|_| {
-                let (tx, rx) = bounded::<Job>(per_queue);
-                queues.push(tx);
-                let done_tx = done_tx.clone();
-                let resolver = Arc::clone(&resolver);
-                let queue_depth = Arc::clone(&queue_depth);
-                std::thread::spawn(move || {
-                    while let Ok(job) = rx.recv() {
-                        queue_depth.sub(1);
-                        let response = process_request(&resolver, &job.request);
-                        if done_tx.send((job.seq, response)).is_err() {
-                            break;
-                        }
-                    }
-                })
-            })
-            .collect();
-
-        let collector = std::thread::spawn(move || {
-            let mut pending: HashMap<u64, String> = HashMap::new();
-            let mut next_emit: u64 = 0;
-            while let Ok((seq, response)) = done_rx.recv() {
-                pending.insert(seq, response);
-                while let Some(line) = pending.remove(&next_emit) {
-                    if out_tx.send(line).is_err() {
-                        return;
-                    }
-                    next_emit += 1;
-                }
-            }
-        });
-
-        Self {
-            resolver,
-            queues,
-            done_tx,
-            output,
-            next_seq: AtomicU64::new(0),
-            queue_depth,
-            workers: handles,
-            collector: Some(collector),
-        }
-    }
-
-    /// Which worker queue a request belongs to: named operations stick to
-    /// `hash(name) % workers` so same-name requests execute in admission
-    /// order; name-less operations go to queue 0.
-    fn route(&self, request: &Request) -> usize {
-        match request {
-            Request::Seed { name, .. }
-            | Request::Ingest { name, .. }
-            | Request::Resolve { name }
-            | Request::Entities { name: Some(name) }
-            | Request::SameAs { name, .. }
-            | Request::Constraint { name, .. } => {
-                let mut hasher = std::collections::hash_map::DefaultHasher::new();
-                name.hash(&mut hasher);
-                (hasher.finish() % self.queues.len() as u64) as usize
-            }
-            _ => 0,
-        }
-    }
-
-    /// Admit one request line. Data-plane requests (`seed`, `ingest`,
-    /// `resolve`) never block: a malformed line or a full queue turns into an
-    /// immediate error response at this request's position in the response
-    /// stream. Control-plane requests (`snapshot`, `metrics`, `persist`,
-    /// `restore`, `flush`, `shutdown`) are never load-shed — they are rare and
-    /// clients depend on them, so a full queue makes the admission thread
-    /// wait for a slot instead. `health` is special twice over: never
-    /// load-shed *and* answered right here at admission, bypassing the
-    /// queues entirely, so a probe of a saturated daemon is not stuck
-    /// behind the backlog it is trying to measure. Returns the admission
-    /// sequence number.
-    pub fn submit(&self, line: String) -> u64 {
-        let seq = self.next_seq.fetch_add(1, Ordering::SeqCst);
-        let response = match protocol::parse_request(&line) {
-            Err(e) => Some(protocol::err_response(&e)),
-            Ok(Request::Health) => Some(process_request(&self.resolver, &Request::Health)),
-            Ok(request) => {
-                let queue = &self.queues[self.route(&request)];
-                // The gauge goes up before the send: a worker may dequeue
-                // the job the instant it lands, and decrementing from a
-                // not-yet-incremented gauge would read negative.
-                self.queue_depth.add(1);
-                let outcome = if matches!(
-                    request,
-                    Request::Snapshot
-                        | Request::Entities { name: None }
-                        | Request::Metrics
-                        | Request::Persist
-                        | Request::Restore
-                        | Request::Flush
-                        | Request::Shutdown
-                ) {
-                    match queue.send(Job { seq, request }) {
-                        Ok(()) => None,
-                        Err(_) => Some(protocol::err_response(&StreamError::Overloaded)),
-                    }
-                } else {
-                    match queue.try_send(Job { seq, request }) {
-                        Ok(()) => None,
-                        Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
-                            Some(protocol::err_response(&StreamError::Overloaded))
-                        }
-                    }
-                };
-                if outcome.is_some() {
-                    self.queue_depth.sub(1);
-                }
-                outcome
-            }
-        };
-        if let Some(response) = response {
-            let _ = self.done_tx.send((seq, response));
-        }
-        seq
-    }
-
-    /// Admit a request that already failed at the transport layer (e.g. a
-    /// line that is not valid UTF-8, which never yields a `String` to
-    /// [`submit`](Self::submit)): the error response takes this request's
-    /// position in the response stream and the connection stays usable.
-    /// Returns the admission sequence number.
-    pub fn submit_error(&self, error: &StreamError) -> u64 {
-        let seq = self.next_seq.fetch_add(1, Ordering::SeqCst);
-        let _ = self.done_tx.send((seq, protocol::err_response(error)));
-        seq
-    }
-
-    /// Requests admitted so far.
-    pub fn submitted(&self) -> u64 {
-        self.next_seq.load(Ordering::SeqCst)
-    }
-
-    /// The response stream, in admission order. Clone it to read from
-    /// another thread; it disconnects when the service is finished.
-    pub fn responses(&self) -> Receiver<String> {
-        self.output.clone()
-    }
-
-    /// Stop accepting work, drain the queues, and wait for every response
-    /// to be emitted. Returns the response stream so late readers can
-    /// drain what is left.
-    pub fn finish(self) -> Receiver<String> {
-        drop(self.queues);
-        for worker in self.workers {
-            let _ = worker.join();
-        }
-        drop(self.done_tx);
-        if let Some(collector) = self.collector {
-            let _ = collector.join();
-        }
-        self.output
     }
 }
 
@@ -290,13 +80,17 @@ mod tests {
     use crate::config::StreamConfig;
     use weber_extract::gazetteer::Gazetteer;
 
-    fn resolver() -> Arc<StreamResolver> {
+    fn gazetteer() -> Gazetteer {
         let mut g = Gazetteer::new();
         g.add_phrases(
             weber_extract::gazetteer::EntityKind::Concept,
             ["databases", "gardening"],
         );
-        Arc::new(StreamResolver::new(StreamConfig::default(), &g).unwrap())
+        g
+    }
+
+    fn resolver() -> StreamResolver {
+        StreamResolver::new(StreamConfig::default(), &gazetteer()).unwrap()
     }
 
     fn seed_line() -> String {
@@ -308,192 +102,34 @@ mod tests {
             .replace('\n', " ")
     }
 
+    fn reply(resolver: &StreamResolver, line: &str) -> serde::Value {
+        serde_json::parse_value(&process_line(resolver, line)).unwrap()
+    }
+
     #[test]
-    fn processes_in_admission_order() {
-        let service = StreamService::start(resolver(), 3, 16);
-        service.submit(seed_line());
-        for i in 0..5 {
-            service.submit(format!(
-                r#"{{"op":"ingest","name":"cohen","text":"databases text number {i}"}}"#
-            ));
-        }
-        service.submit(r#"{"op":"flush"}"#.to_string());
-        assert_eq!(service.submitted(), 7);
-        let responses: Vec<String> = service.finish().iter().collect();
-        assert_eq!(responses.len(), 7);
-        let first = serde_json::parse_value(&responses[0]).unwrap();
-        assert_eq!(first.get("op").unwrap().as_str(), Some("seed"));
-        // Same-name requests are routed to one worker, so the seed applies
-        // before any ingest, and ingests take block slots in admission
-        // order.
-        for (i, line) in responses[1..6].iter().enumerate() {
-            let v = serde_json::parse_value(line).unwrap();
-            assert_eq!(v.get("ok").unwrap().as_bool(), Some(true), "{line}");
-            assert_eq!(v.get("doc").unwrap().as_u64(), Some(4 + i as u64));
-        }
-        let last = serde_json::parse_value(&responses[6]).unwrap();
-        assert_eq!(last.get("op").unwrap().as_str(), Some("flush"));
+    fn process_line_works_without_a_queue() {
+        let r = resolver();
+        let v = reply(&r, &seed_line());
+        assert_eq!(v.get("ok").unwrap().as_bool(), Some(true));
+        let v = reply(&r, r#"{"op":"snapshot"}"#);
+        assert_eq!(v.get("names").unwrap().as_array().unwrap().len(), 1);
     }
 
     #[test]
     fn resolve_sees_the_ingest_admitted_before_it() {
-        // `resolve` routes to the same worker as the name's writes, so a
-        // resolve admitted after an ingest must report the grown block.
-        let service = StreamService::start(resolver(), 2, 8);
-        service.submit(seed_line());
-        service.submit(r#"{"op":"ingest","name":"cohen","text":"databases again"}"#.to_string());
-        service.submit(r#"{"op":"resolve","name":"cohen"}"#.to_string());
-        service.submit(r#"{"op":"resolve","name":"nobody"}"#.to_string());
-        let responses: Vec<String> = service.finish().iter().collect();
-        assert_eq!(responses.len(), 4);
-        let v = serde_json::parse_value(&responses[2]).unwrap();
+        let r = resolver();
+        reply(&r, &seed_line());
+        reply(
+            &r,
+            r#"{"op":"ingest","name":"cohen","text":"databases again"}"#,
+        );
+        let v = reply(&r, r#"{"op":"resolve","name":"cohen"}"#);
         assert_eq!(v.get("ok").unwrap().as_bool(), Some(true));
         assert_eq!(v.get("op").unwrap().as_str(), Some("resolve"));
         assert_eq!(v.get("docs").unwrap().as_u64(), Some(5));
-        let v = serde_json::parse_value(&responses[3]).unwrap();
+        let v = reply(&r, r#"{"op":"resolve","name":"nobody"}"#);
         assert_eq!(v.get("ok").unwrap().as_bool(), Some(false));
         assert_eq!(v.get("kind").unwrap().as_str(), Some("unknown-name"));
-    }
-
-    #[test]
-    fn bad_requests_get_error_responses_not_crashes() {
-        let service = StreamService::start(resolver(), 2, 8);
-        service.submit("garbage".to_string());
-        service.submit(r#"{"op":"ingest","name":"never-seeded","text":"x"}"#.to_string());
-        let responses: Vec<String> = service.finish().iter().collect();
-        assert_eq!(responses.len(), 2);
-        for line in &responses {
-            let v = serde_json::parse_value(line).unwrap();
-            assert_eq!(v.get("ok").unwrap().as_bool(), Some(false), "{line}");
-        }
-    }
-
-    #[test]
-    fn full_queue_returns_overloaded() {
-        // One worker, capacity-1 queue, and an ingest burst big enough
-        // that admissions outpace processing: some responses must be
-        // `overloaded`, and the service must neither block nor crash.
-        let service = StreamService::start(resolver(), 1, 1);
-        service.submit(seed_line());
-        let total = 64;
-        for i in 0..total {
-            service.submit(format!(
-                r#"{{"op":"ingest","name":"cohen","text":"databases text number {i}"}}"#
-            ));
-        }
-        let responses: Vec<String> = service.finish().iter().collect();
-        assert_eq!(responses.len(), total + 1);
-        let overloaded = responses
-            .iter()
-            .filter(|l| {
-                serde_json::parse_value(l)
-                    .unwrap()
-                    .get("error")
-                    .and_then(|e| e.as_str().map(|s| s == "overloaded"))
-                    .unwrap_or(false)
-            })
-            .count();
-        assert!(
-            overloaded > 0,
-            "a capacity-1 queue under a 64-request burst must shed load"
-        );
-        // Accepted requests were still processed correctly.
-        let ok = responses
-            .iter()
-            .filter(|l| {
-                serde_json::parse_value(l)
-                    .unwrap()
-                    .get("ok")
-                    .unwrap()
-                    .as_bool()
-                    == Some(true)
-            })
-            .count();
-        assert!(ok >= 1);
-    }
-
-    #[test]
-    fn control_requests_are_never_load_shed() {
-        // Same saturation setup as above, but the burst is followed by
-        // snapshot + flush + shutdown: control-plane requests must wait
-        // for a slot rather than answer `overloaded`.
-        let service = StreamService::start(resolver(), 1, 1);
-        service.submit(seed_line());
-        for i in 0..32 {
-            service.submit(format!(
-                r#"{{"op":"ingest","name":"cohen","text":"databases text number {i}"}}"#
-            ));
-        }
-        service.submit(r#"{"op":"snapshot"}"#.to_string());
-        service.submit(r#"{"op":"flush"}"#.to_string());
-        service.submit(r#"{"op":"shutdown"}"#.to_string());
-        let responses: Vec<String> = service.finish().iter().collect();
-        assert_eq!(responses.len(), 36);
-        for line in &responses[33..] {
-            let v = serde_json::parse_value(line).unwrap();
-            assert_eq!(v.get("ok").unwrap().as_bool(), Some(true), "{line}");
-        }
-    }
-
-    #[test]
-    fn health_is_answered_even_when_the_queue_is_saturated() {
-        // Capacity-1 queue under a burst: data-plane requests shed load,
-        // but every interleaved health probe must still be answered ok —
-        // it bypasses the queues entirely.
-        let service = StreamService::start(resolver(), 1, 1);
-        service.submit(seed_line());
-        for i in 0..16 {
-            service.submit(format!(
-                r#"{{"op":"ingest","name":"cohen","text":"databases text number {i}"}}"#
-            ));
-            service.submit(r#"{"op":"health"}"#.to_string());
-        }
-        let responses: Vec<String> = service.finish().iter().collect();
-        assert_eq!(responses.len(), 33);
-        let mut probes = 0;
-        for line in &responses {
-            let v = serde_json::parse_value(line).unwrap();
-            if v.get("op").and_then(|o| o.as_str()) == Some("health") {
-                assert_eq!(v.get("ok").unwrap().as_bool(), Some(true), "{line}");
-                assert!(v.get("uptime_s").unwrap().as_f64().unwrap() >= 0.0);
-                probes += 1;
-            }
-        }
-        assert_eq!(probes, 16, "no probe may be shed or dropped");
-    }
-
-    #[test]
-    fn submit_error_takes_a_position_in_the_response_stream() {
-        let service = StreamService::start(resolver(), 2, 8);
-        service.submit(seed_line());
-        service.submit_error(&StreamError::Parse("invalid UTF-8".into()));
-        service.submit(r#"{"op":"flush"}"#.to_string());
-        let responses: Vec<String> = service.finish().iter().collect();
-        assert_eq!(responses.len(), 3);
-        let v = serde_json::parse_value(&responses[1]).unwrap();
-        assert_eq!(v.get("ok").unwrap().as_bool(), Some(false));
-        assert_eq!(v.get("kind").unwrap().as_str(), Some("parse"));
-        let v = serde_json::parse_value(&responses[2]).unwrap();
-        assert_eq!(v.get("op").unwrap().as_str(), Some("flush"));
-    }
-
-    #[test]
-    fn names_route_to_stable_workers() {
-        let service = StreamService::start(resolver(), 4, 32);
-        service.submit(seed_line());
-        service.submit(seed_line().replace("cohen", "smith"));
-        for i in 0..4 {
-            let name = if i % 2 == 0 { "cohen" } else { "smith" };
-            service.submit(format!(
-                r#"{{"op":"ingest","name":"{name}","text":"databases text {i}"}}"#
-            ));
-        }
-        let responses: Vec<String> = service.finish().iter().collect();
-        assert_eq!(responses.len(), 6);
-        for line in &responses {
-            let v = serde_json::parse_value(line).unwrap();
-            assert_eq!(v.get("ok").unwrap().as_bool(), Some(true), "{line}");
-        }
     }
 
     #[test]
@@ -504,26 +140,15 @@ mod tests {
             std::thread::current().id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut g = Gazetteer::new();
-        g.add_phrases(
-            weber_extract::gazetteer::EntityKind::Concept,
-            ["databases", "gardening"],
-        );
         let config = StreamConfig::default().with_state_dir(&dir);
-        let r = Arc::new(StreamResolver::new(config.clone(), &g).unwrap());
-        let service = StreamService::start(Arc::clone(&r), 2, 16);
-        service.submit(seed_line());
-        service.submit(r#"{"op":"persist"}"#.to_string());
-        let responses: Vec<String> = service.finish().iter().collect();
-        let persisted = serde_json::parse_value(&responses[1]).unwrap();
+        let r = StreamResolver::new(config.clone(), &gazetteer()).unwrap();
+        reply(&r, &seed_line());
+        let persisted = reply(&r, r#"{"op":"persist"}"#);
         assert_eq!(persisted.get("ok").unwrap().as_bool(), Some(true));
         assert_eq!(persisted.get("names").unwrap().as_u64(), Some(1));
         // A fresh resolver restores it over the wire.
-        let r2 = Arc::new(StreamResolver::new(config, &g).unwrap());
-        let service = StreamService::start(Arc::clone(&r2), 2, 16);
-        service.submit(r#"{"op":"restore"}"#.to_string());
-        let responses: Vec<String> = service.finish().iter().collect();
-        let restored = serde_json::parse_value(&responses[0]).unwrap();
+        let r2 = StreamResolver::new(config, &gazetteer()).unwrap();
+        let restored = reply(&r2, r#"{"op":"restore"}"#);
         assert_eq!(restored.get("names").unwrap().as_u64(), Some(1));
         assert_eq!(
             r2.partition("cohen").unwrap(),
@@ -534,20 +159,15 @@ mod tests {
 
     #[test]
     fn metrics_op_reports_ingest_activity() {
-        // One worker so the metrics request runs strictly after the
-        // ingests (with several workers it could land on another queue
-        // and observe a partial count).
-        let service = StreamService::start(resolver(), 1, 16);
-        service.submit(seed_line());
+        let r = resolver();
+        reply(&r, &seed_line());
         for i in 0..3 {
-            service.submit(format!(
-                r#"{{"op":"ingest","name":"cohen","text":"databases text number {i}"}}"#
-            ));
+            reply(
+                &r,
+                &format!(r#"{{"op":"ingest","name":"cohen","text":"databases text number {i}"}}"#),
+            );
         }
-        service.submit(r#"{"op":"metrics"}"#.to_string());
-        let responses: Vec<String> = service.finish().iter().collect();
-        assert_eq!(responses.len(), 5);
-        let v = serde_json::parse_value(&responses[4]).unwrap();
+        let v = reply(&r, r#"{"op":"metrics"}"#);
         assert_eq!(v.get("op").unwrap().as_str(), Some("metrics"));
         let counters = v.get("counters").unwrap();
         assert_eq!(counters.get("stream.ingests").unwrap().as_u64(), Some(3));
@@ -558,20 +178,9 @@ mod tests {
             .get("stream.ingest_us")
             .unwrap();
         assert_eq!(ingest_us.get("count").unwrap().as_u64(), Some(3));
-        // Queue depth returns to zero once all admitted work is drained
-        // (the metrics request itself was already dequeued when answered).
+        // No pool is running, so its backlog gauge reads zero.
         let gauges = v.get("gauges").unwrap();
-        assert_eq!(gauges.get("stream.queue_depth").unwrap().as_u64(), Some(0));
-    }
-
-    #[test]
-    fn process_line_works_without_a_queue() {
-        let r = resolver();
-        let response = process_line(&r, &seed_line());
-        let v = serde_json::parse_value(&response).unwrap();
-        assert_eq!(v.get("ok").unwrap().as_bool(), Some(true));
-        let snap = process_line(&r, r#"{"op":"snapshot"}"#);
-        let v = serde_json::parse_value(&snap).unwrap();
-        assert_eq!(v.get("names").unwrap().as_array().unwrap().len(), 1);
+        assert_eq!(gauges.get("net.queue_depth").unwrap().as_u64(), Some(0));
+        assert!(gauges.get("stream.queue_depth").is_none());
     }
 }

@@ -21,8 +21,8 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
-echo "==> streaming stress: cargo test -q --release -p weber-stream"
-cargo test -q --release -p weber-stream
+echo "==> serving-tier units: cargo test -q --release -p weber-net -p weber-shard -p weber-stream"
+cargo test -q --release -p weber-net -p weber-shard -p weber-stream
 
 echo "==> router smoke: scripts/route_smoke.sh"
 scripts/route_smoke.sh

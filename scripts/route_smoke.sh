@@ -5,10 +5,9 @@
 # router. Then repeats the exercise with `--replication 2` and one
 # backend killed: every name must still resolve ok and the router must
 # report failover reads. Finally fronts a fresh pair of backends with a
-# TCP router in each io mode (--io event, the default reactor, and
-# --io threads, the legacy model): health/seed/ingest/resolve must
-# round-trip and the routed shutdown must stop the whole tier. Fails on
-# any unexpected response line. Used by scripts/check.sh.
+# TCP router: health/seed/ingest/resolve must round-trip and the routed
+# shutdown must stop the whole tier. Fails on any unexpected response
+# line. Used by scripts/check.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -227,93 +226,91 @@ PIDS2=()
 
 echo "==> route smoke phase 2 passed (replicated: $BACKENDS2)."
 
-# --- Phase 3: TCP front end in both io modes -------------------------------
+# --- Phase 3: TCP front end ------------------------------------------------
 
-for mode in event threads; do
-    MPORTS=()
-    MPIDS=()
-    while [[ ${#MPORTS[@]} -lt 2 ]]; do
-        if port_free "$candidate"; then
-            MPORTS+=("$candidate")
-        fi
-        candidate=$((candidate + 1))
-    done
-    mkdir -p "$WORK/state-$mode"
-    MBACKENDS=""
-    for port in "${MPORTS[@]}"; do
-        "$WEBER" serve --listen "127.0.0.1:$port" --state-dir "$WORK/state-$mode" \
-            >"$WORK/serve-$mode-$port.log" 2>&1 &
-        MPIDS+=($!)
-        PIDS+=($!)
-        MBACKENDS="${MBACKENDS:+$MBACKENDS,}127.0.0.1:$port"
-    done
-    for port in "${MPORTS[@]}"; do
-        for _ in $(seq 1 100); do
-            if ! port_free "$port"; then
-                continue 2
-            fi
-            sleep 0.1
-        done
-        echo "route smoke: $mode-mode backend on port $port never came up" >&2
-        cat "$WORK/serve-$mode-$port.log" >&2 || true
-        exit 1
-    done
-
-    while ! port_free "$candidate"; do candidate=$((candidate + 1)); done
-    RPORT=$candidate
+MPORTS=()
+MPIDS=()
+while [[ ${#MPORTS[@]} -lt 2 ]]; do
+    if port_free "$candidate"; then
+        MPORTS+=("$candidate")
+    fi
     candidate=$((candidate + 1))
-    "$WEBER" route --backends "$MBACKENDS" --listen "127.0.0.1:$RPORT" \
-        --io "$mode" >"$WORK/route-$mode.log" 2>&1 &
-    RPID=$!
-    PIDS+=("$RPID")
+done
+mkdir -p "$WORK/state-tcp"
+MBACKENDS=""
+for port in "${MPORTS[@]}"; do
+    "$WEBER" serve --listen "127.0.0.1:$port" --state-dir "$WORK/state-tcp" \
+        >"$WORK/serve-tcp-$port.log" 2>&1 &
+    MPIDS+=($!)
+    PIDS+=($!)
+    MBACKENDS="${MBACKENDS:+$MBACKENDS,}127.0.0.1:$port"
+done
+for port in "${MPORTS[@]}"; do
     for _ in $(seq 1 100); do
-        if ! port_free "$RPORT"; then
-            break
+        if ! port_free "$port"; then
+            continue 2
         fi
         sleep 0.1
     done
-    if port_free "$RPORT"; then
-        echo "route smoke: $mode-mode router never came up" >&2
-        cat "$WORK/route-$mode.log" >&2 || true
-        exit 1
-    fi
+    echo "route smoke: tcp-phase backend on port $port never came up" >&2
+    cat "$WORK/serve-tcp-$port.log" >&2 || true
+    exit 1
+done
 
-    OUT3="$WORK/tcp-$mode.ndjson"
-    exec 4<>"/dev/tcp/127.0.0.1/$RPORT"
-    cat >&4 <<'EOF'
+while ! port_free "$candidate"; do candidate=$((candidate + 1)); done
+RPORT=$candidate
+candidate=$((candidate + 1))
+"$WEBER" route --backends "$MBACKENDS" --listen "127.0.0.1:$RPORT" \
+    >"$WORK/route-tcp.log" 2>&1 &
+RPID=$!
+PIDS+=("$RPID")
+for _ in $(seq 1 100); do
+    if ! port_free "$RPORT"; then
+        break
+    fi
+    sleep 0.1
+done
+if port_free "$RPORT"; then
+    echo "route smoke: tcp router never came up" >&2
+    cat "$WORK/route-tcp.log" >&2 || true
+    exit 1
+fi
+
+OUT3="$WORK/tcp.ndjson"
+exec 4<>"/dev/tcp/127.0.0.1/$RPORT"
+cat >&4 <<'EOF'
 {"op":"health"}
 {"op":"seed","name":"cohen","docs":[{"text":"databases are fun and databases are important","label":0},{"text":"databases are hard but databases pay well","label":0},{"text":"gardening tips for growing roses","label":1},{"text":"gardening advice on pruning roses","label":1}]}
 {"op":"ingest","name":"cohen","text":"a new page about databases"}
 {"op":"resolve","name":"cohen"}
 {"op":"shutdown"}
 EOF
-    head -n 5 <&4 >"$OUT3" || true
-    exec 4>&- 4<&-
+head -n 5 <&4 >"$OUT3" || true
+exec 4>&- 4<&-
 
-    fail3() {
-        echo "route smoke ($mode tcp): $1" >&2
-        echo "--- responses ---" >&2
-        cat "$OUT3" >&2 || true
-        cat "$WORK/route-$mode.log" >&2 || true
-        exit 1
-    }
+fail3() {
+    echo "route smoke (tcp): $1" >&2
+    echo "--- responses ---" >&2
+    cat "$OUT3" >&2 || true
+    cat "$WORK/route-tcp.log" >&2 || true
+    exit 1
+}
 
-    [[ "$(wc -l <"$OUT3")" -eq 5 ]] || fail3 "expected 5 response lines"
-    grep -q '"ok":false' "$OUT3" && fail3 "found a failed response"
-    grep -q '"op":"health"' "$OUT3" || fail3 "missing health response"
-    grep '"op":"ingest"' "$OUT3" | grep -vq '"shard":' && fail3 "ingest reply missing shard tag"
-    grep '"op":"resolve"' "$OUT3" | grep -vq '"shard":' && fail3 "resolve reply missing shard tag"
-    grep -q '"op":"shutdown"' "$OUT3" || fail3 "missing shutdown ack"
+[[ "$(wc -l <"$OUT3")" -eq 5 ]] || fail3 "expected 5 response lines"
+grep -q '"ok":false' "$OUT3" && fail3 "found a failed response"
+grep -q '"op":"health"' "$OUT3" || fail3 "missing health response"
+grep '"op":"ingest"' "$OUT3" | grep -vq '"shard":' && fail3 "ingest reply missing shard tag"
+grep '"op":"resolve"' "$OUT3" | grep -vq '"shard":' && fail3 "resolve reply missing shard tag"
+grep -q '"op":"shutdown"' "$OUT3" || fail3 "missing shutdown ack"
 
-    for pid in "$RPID" "${MPIDS[@]}"; do
-        for _ in $(seq 1 100); do
-            kill -0 "$pid" 2>/dev/null || continue 2
-            sleep 0.1
-        done
-        fail3 "pid $pid still alive after routed shutdown"
+for pid in "$RPID" "${MPIDS[@]}"; do
+    for _ in $(seq 1 100); do
+        kill -0 "$pid" 2>/dev/null || continue 2
+        sleep 0.1
     done
-    echo "==> route smoke: $mode tcp mode passed"
+    fail3 "pid $pid still alive after routed shutdown"
 done
+echo "==> route smoke phase 3 passed (tcp front end: $MBACKENDS)."
 PIDS=()
 
-echo "route smoke passed (plain: $BACKENDS; replicated: $BACKENDS2; tcp: both io modes)."
+echo "route smoke passed (plain: $BACKENDS; replicated: $BACKENDS2; tcp: $MBACKENDS)."

@@ -1,14 +1,12 @@
 #!/usr/bin/env bash
 # Event-loop front-end smoke: one `weber serve` TCP daemon driven by
-# `weber loadgen` over many persistent connections, in both io modes.
+# `weber loadgen` over many persistent connections.
 #
-# Phase 1 (--io event, the default): 64 open-loop connections for a
-# couple of seconds — every reply must arrive, in order, with zero
-# errors, zero early closes and zero unanswered requests (the loadgen
-# engine attributes replies to requests FIFO per connection, so a
-# single reordered reply shows up as a latency anomaly or error).
-# Phase 2 (--io threads): the legacy thread-per-connection path still
-# round-trips.  Used by scripts/check.sh.
+# 64 open-loop connections for a couple of seconds — every reply must
+# arrive, in order, with zero errors, zero early closes and zero
+# unanswered requests (the loadgen engine attributes replies to requests
+# FIFO per connection, so a single reordered reply shows up as a latency
+# anomaly or error).  Used by scripts/check.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -78,12 +76,11 @@ gate_report() {
     [[ "$measured" -gt 0 ]] || fail "no measured replies"
 }
 
-# --- Phase 1: event loop ---------------------------------------------------
 PORT=$(pick_port)
-"$WEBER" serve --listen "127.0.0.1:$PORT" --io event \
-    --max-connections 256 >"$WORK/serve-event.log" 2>&1 &
+"$WEBER" serve --listen "127.0.0.1:$PORT" \
+    --max-connections 256 >"$WORK/serve.log" 2>&1 &
 PID=$!
-wait_up "$PORT" "$WORK/serve-event.log"
+wait_up "$PORT" "$WORK/serve.log"
 
 "$WEBER" loadgen --connect "127.0.0.1:$PORT" --connections 64 \
     --duration 2 --warmup 1 --rate 300 --names 16 \
@@ -96,29 +93,7 @@ for _ in $(seq 1 100); do
     kill -0 "$PID" 2>/dev/null || break
     sleep 0.1
 done
-kill -0 "$PID" 2>/dev/null && fail "event daemon still alive after shutdown"
-PID=""
-echo "==> serve smoke: event mode passed ($(jq .throughput_ops_s "$WORK/report.json") ops/s)"
-
-# --- Phase 2: legacy threaded mode ----------------------------------------
-PORT=$(pick_port)
-"$WEBER" serve --listen "127.0.0.1:$PORT" --io threads \
-    --max-connections 32 >"$WORK/serve-threads.log" 2>&1 &
-PID=$!
-wait_up "$PORT" "$WORK/serve-threads.log"
-
-exec 3<>"/dev/tcp/127.0.0.1/$PORT"
-printf '{"op":"health"}\n' >&3
-reply=$(head -n1 <&3)
-exec 3>&- 3<&-
-echo "$reply" | grep -q '"ok":true' || fail "threads-mode health failed: $reply"
-
-shutdown_daemon "$PORT"
-for _ in $(seq 1 100); do
-    kill -0 "$PID" 2>/dev/null || break
-    sleep 0.1
-done
-kill -0 "$PID" 2>/dev/null && fail "threaded daemon still alive after shutdown"
+kill -0 "$PID" 2>/dev/null && fail "daemon still alive after shutdown"
 PID=""
 
-echo "serve smoke passed."
+echo "serve smoke passed ($(jq .throughput_ops_s "$WORK/report.json") ops/s)."

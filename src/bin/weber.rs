@@ -12,14 +12,13 @@
 //!                [--hashes N] [--bands N] [--lsh-threshold F] [--threads N]
 //!                [--metrics-file FILE]
 //! weber serve    [--listen ADDR] [--workers N] [--queue N] [--dataset FILE]
-//!                [--max-connections N] [--io event|threads]
-//!                [--idle-timeout SECS] [--max-pipeline N]
+//!                [--max-connections N] [--idle-timeout SECS] [--max-pipeline N]
 //!                [--state-dir DIR] [--max-names N]
 //!                [--metrics-file FILE] [--metrics-interval SECS]
 //! weber route    --backends ADDR,ADDR,... [--listen ADDR] [--replication R]
 //!                [--vnodes N] [--retries N] [--pool N]
 //!                [--probe-interval SECS] [--max-connections N]
-//!                [--workers N] [--queue N] [--io event|threads]
+//!                [--workers N] [--queue N]
 //!                [--idle-timeout SECS] [--max-pipeline N]
 //! weber loadgen  --connect ADDR [--connections N] [--duration SECS]
 //!                [--warmup SECS] [--mode open|closed] [--rate OPS]
@@ -40,11 +39,9 @@ use weber::corpus::{
     DirtyCorpus,
 };
 use weber::eval::MetricSet;
-use weber::shard::{
-    route_stdio, route_tcp_with, spawn_prober, FrontOptions, Router, RouterOptions,
-};
+use weber::shard::{route_stdio, route_tcp, spawn_prober, FrontOptions, Router, RouterOptions};
 use weber::simfun::functions::subset_i10;
-use weber::stream::{serve_stdio, serve_tcp, IoMode, StreamConfig, StreamResolver, TcpOptions};
+use weber::stream::{serve_stdio, serve_tcp, StreamConfig, StreamResolver, TcpOptions};
 use weber::textindex::TfIdf;
 
 const USAGE: &str = "\
@@ -62,14 +59,13 @@ USAGE:
                   [--hashes N] [--bands N] [--lsh-threshold F] [--threads N]
                   [--metrics-file FILE]
   weber serve     [--listen ADDR] [--workers N] [--queue N] [--dataset FILE]
-                  [--max-connections N] [--io event|threads]
-                  [--idle-timeout SECS] [--max-pipeline N]
+                  [--max-connections N] [--idle-timeout SECS] [--max-pipeline N]
                   [--state-dir DIR] [--max-names N]
                   [--metrics-file FILE] [--metrics-interval SECS]
   weber route     --backends ADDR,ADDR,... [--listen ADDR] [--replication R]
                   [--vnodes N] [--retries N] [--pool N]
                   [--probe-interval SECS] [--max-connections N]
-                  [--workers N] [--queue N] [--io event|threads]
+                  [--workers N] [--queue N]
                   [--idle-timeout SECS] [--max-pipeline N]
   weber loadgen   --connect ADDR [--connections N] [--duration SECS]
                   [--warmup SECS] [--mode open|closed] [--rate OPS]
@@ -107,16 +103,17 @@ Above the partition sits the canonical entity layer (see PROTOCOL.md):
 per-mention provenance, {\"op\":\"same_as\",...} asserts or retracts
 reversible merge links, and {\"op\":\"constraint\",...} adds global
 cannot-link / one-to-one / type rules enforced at materialization.
---dataset seeds the gazetteer from a generated corpus file; --workers and
---queue size the worker pool and per-worker admission queue. With --listen
-the daemon serves clients concurrently, up to --max-connections at once
-(default 64). By default one epoll reactor thread multiplexes every
-connection (--io event), which holds 10k+ mostly-idle persistent
-connections; --io threads restores the thread-per-connection model.
---idle-timeout SECS evicts silent connections (0 = never, the default);
---max-pipeline N caps in-flight pipelined requests per connection
-(default 256) — past it the reactor stops reading that socket until
-replies drain. --state-dir DIR persists per-name state: existing records
+--dataset seeds the gazetteer from a generated corpus file. On stdio each
+line is answered before the next is read. With --listen the daemon serves
+clients concurrently, up to --max-connections at once (default 64): one
+epoll reactor thread multiplexes every connection, which holds 10k+
+mostly-idle persistent connections, and --workers and --queue size the
+worker pool and per-worker admission queue behind it (--io event is still
+accepted and means nothing; the thread-per-connection --io threads is
+gone). --idle-timeout SECS evicts silent connections (0 = never, the
+default); --max-pipeline N caps in-flight pipelined requests per
+connection (default 256) — past it the reactor stops reading that socket
+until replies drain. --state-dir DIR persists per-name state: existing records
 are restored at startup, the whole state is written back at shutdown, and
 the protocol gains explicit persist/restore ops. --max-names N (requires
 --state-dir) bounds live names, evicting the least-recently-touched to
@@ -151,8 +148,8 @@ tier; {\"op\":\"topology\",\"backends\":[...]} re-shards at runtime,
 persisting the old ring first so names migrate through a shared
 --state-dir. Backends are probed every --probe-interval seconds
 (default 1) with exponential backoff while down. The front end takes the
-same --io / --idle-timeout / --max-pipeline / --workers / --queue
-tuning as serve.
+same --idle-timeout / --max-pipeline / --workers / --queue tuning as
+serve.
 
 The loadgen command drives either front end with NDJSON traffic from one
 reactor thread holding --connections persistent sockets (default 100):
@@ -528,29 +525,37 @@ fn cmd_experiment(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Parse the shared front-end tuning flags: `--io`, `--idle-timeout`
-/// (seconds, 0 = never) and `--max-pipeline`.
+/// Parse the shared front-end tuning flags: `--idle-timeout` (seconds,
+/// 0 = never) and `--max-pipeline`. `--io event` is accepted and ignored
+/// (the reactor is the only front end; scripts still pass the flag).
 fn front_tuning(
     flags: &HashMap<String, String>,
-) -> Result<(IoMode, Option<std::time::Duration>, usize), String> {
-    let io: IoMode = match flags.get("io") {
-        None => IoMode::Event,
-        Some(v) => v.parse()?,
-    };
+) -> Result<(Option<std::time::Duration>, usize), String> {
+    match flags.get("io").map(String::as_str) {
+        None | Some("event" | "epoll") => {}
+        Some("threads" | "thread") => {
+            return Err(
+                "--io threads has been removed: the thread-per-connection front end is \
+                 gone and every listener runs the epoll reactor. Drop the flag."
+                    .into(),
+            )
+        }
+        Some(other) => return Err(format!("unknown io mode '{other}' (expected 'event')")),
+    }
     let idle_secs: u64 = parse(flags, "idle-timeout", 0)?;
     let idle_timeout = (idle_secs > 0).then(|| std::time::Duration::from_secs(idle_secs));
     let max_pipeline: usize = parse(flags, "max-pipeline", 256)?;
     if max_pipeline == 0 {
         return Err("--max-pipeline must be at least 1".into());
     }
-    Ok((io, idle_timeout, max_pipeline))
+    Ok((idle_timeout, max_pipeline))
 }
 
 fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let workers: usize = parse(flags, "workers", 2)?;
     let queue: usize = parse(flags, "queue", 64)?;
     let max_connections: usize = parse(flags, "max-connections", 64)?;
-    let (io, idle_timeout, max_pipeline) = front_tuning(flags)?;
+    let (idle_timeout, max_pipeline) = front_tuning(flags)?;
     let gazetteer = match flags.get("dataset") {
         Some(_) => load_dataset(flags)?.gazetteer,
         None => weber::extract::gazetteer::Gazetteer::new(),
@@ -596,15 +601,14 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
                 workers,
                 queue_capacity: queue,
                 max_connections,
-                io,
                 idle_timeout,
                 max_pipeline,
             };
             serve_tcp(resolver.clone(), addr, &options).map_err(|e| e.to_string())?
         }
         None => {
-            eprintln!("serving NDJSON on stdin/stdout ({workers} workers, queue {queue})");
-            serve_stdio(resolver.clone(), workers, queue).map_err(|e| e.to_string())?
+            eprintln!("serving NDJSON on stdin/stdout (one request at a time)");
+            serve_stdio(resolver.clone()).map_err(|e| e.to_string())?
         }
     };
     if let Some(dir) = flags.get("state-dir") {
@@ -743,12 +747,11 @@ fn cmd_route(flags: &HashMap<String, String>) -> Result<(), String> {
         probe_interval: std::time::Duration::from_secs(probe_secs),
         ..RouterOptions::default()
     };
-    let (io, idle_timeout, max_pipeline) = front_tuning(flags)?;
+    let (idle_timeout, max_pipeline) = front_tuning(flags)?;
     let front = FrontOptions {
         workers: parse(flags, "workers", 4)?,
         queue_capacity: parse(flags, "queue", 256)?,
         max_connections,
-        io,
         idle_timeout,
         max_pipeline,
     };
@@ -762,7 +765,7 @@ fn cmd_route(flags: &HashMap<String, String>) -> Result<(), String> {
                 backends.len(),
                 backends.join(", ")
             );
-            route_tcp_with(router.clone(), addr, &front).map_err(|e| e.to_string())?
+            route_tcp(router.clone(), addr, &front).map_err(|e| e.to_string())?
         }
         None => {
             eprintln!(
@@ -770,7 +773,7 @@ fn cmd_route(flags: &HashMap<String, String>) -> Result<(), String> {
                 backends.len(),
                 backends.join(", ")
             );
-            route_stdio(&router).map_err(|e| e.to_string())?
+            route_stdio(router.clone()).map_err(|e| e.to_string())?
         }
     };
     prober.stop();

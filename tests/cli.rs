@@ -83,6 +83,66 @@ fn serve_round_trips_ndjson_over_stdio() {
 }
 
 #[test]
+fn serve_answers_every_line_of_a_replay_piped_from_a_file() {
+    // A file reader never waits for replies, so the whole replay is in
+    // the pipe before the first line runs: stdio must answer each line
+    // at the pace it executes, not shed what a bounded queue cannot hold.
+    let path = temp_path("replay.ndjson");
+    let mut replay = String::from(concat!(
+        r#"{"op":"seed","name":"cohen","docs":[{"text":"databases and systems","label":0},{"text":"databases research","label":0},{"text":"gardening and roses","label":1}]}"#,
+        "\n",
+    ));
+    for i in 0..300 {
+        replay.push_str(&format!(
+            r#"{{"op":"ingest","name":"cohen","text":"databases and systems page {i}"}}"#
+        ));
+        replay.push('\n');
+    }
+    replay.push_str("{\"op\":\"flush\"}\n");
+    std::fs::write(&path, &replay).unwrap();
+    let out = weber()
+        .arg("serve")
+        .stdin(std::fs::File::open(&path).unwrap())
+        .output()
+        .unwrap();
+    std::fs::remove_file(&path).ok();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), replay.lines().count(), "one reply per line");
+    let shed = lines.iter().filter(|l| l.contains("overloaded")).count();
+    assert_eq!(shed, 0, "stdio shed {shed} of {} lines", lines.len());
+    for line in &lines {
+        assert!(line.contains(r#""ok":true"#), "{line}");
+    }
+    assert!(lines[300].contains(r#""doc":302"#), "{}", lines[300]);
+    assert!(lines[301].contains(r#""op":"flush""#), "{}", lines[301]);
+}
+
+#[test]
+fn io_threads_is_rejected_with_the_removal_message() {
+    for command in [
+        &["serve", "--io", "threads"][..],
+        &["route", "--backends", "127.0.0.1:1", "--io", "threads"],
+    ] {
+        let out = weber().args(command).output().unwrap();
+        assert!(!out.status.success(), "{command:?} must fail");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("--io threads has been removed"),
+            "{command:?} stderr: {err}"
+        );
+    }
+    let out = weber().args(["serve", "--io", "bogus"]).output().unwrap();
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown io mode"));
+}
+
+#[test]
 fn serve_state_dir_survives_a_daemon_restart() {
     use std::io::Write;
     let dir = temp_path("state_dir");
@@ -151,8 +211,18 @@ fn serve_metrics_op_over_tcp_reports_cache_hits() {
         probe.local_addr().unwrap().port()
     };
     let addr = format!("127.0.0.1:{port}");
+    // `--io event` is what the bench scripts still pass: accepted, and
+    // means nothing now that the reactor is the only front end.
     let mut child = weber()
-        .args(["serve", "--listen", &addr, "--workers", "1"])
+        .args([
+            "serve",
+            "--listen",
+            &addr,
+            "--workers",
+            "1",
+            "--io",
+            "event",
+        ])
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null())
         .spawn()

@@ -2,10 +2,10 @@
 //! `weber serve`): incremental framing against slow clients, idle-timeout
 //! eviction, connection-cap refusal, and connection-count soaks.
 //!
-//! Everything here drives a real `serve_listener` over real sockets in
-//! the default event `IoMode`; the soak tests also exercise the loadgen
-//! engine, whose closed-loop bookkeeping doubles as a correctness check
-//! (every reply must match a request on the same connection, in order).
+//! Everything here drives a real `serve_listener` over real sockets; the
+//! soak tests also exercise the loadgen engine, whose closed-loop
+//! bookkeeping doubles as a correctness check (every reply must match a
+//! request on the same connection, in order).
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};

@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use serde_json::Value;
 use weber::extract::gazetteer::{EntityKind, Gazetteer};
-use weber::shard::{route_listener, Router, RouterOptions};
+use weber::shard::{route_listener, FrontOptions, Router, RouterOptions};
 use weber::stream::{serve_listener, StreamConfig, StreamResolver, TcpOptions};
 
 fn gazetteer() -> Gazetteer {
@@ -181,7 +181,7 @@ fn a_three_backend_ring_answers_like_a_single_daemon() {
     let front_addr = front.local_addr().unwrap();
     let router_thread = {
         let router = Arc::clone(&router);
-        std::thread::spawn(move || route_listener(router, front, 16).unwrap())
+        std::thread::spawn(move || route_listener(router, front, &FrontOptions::default()).unwrap())
     };
 
     let (mut s_writer, mut s_reader) = connect(single.addr);
@@ -738,8 +738,6 @@ fn start_stalling_backend(delay: Option<Duration>) -> SocketAddr {
 
 #[test]
 fn a_slow_backend_does_not_stall_healthy_shards_in_event_mode() {
-    use weber::shard::FrontOptions;
-
     // One deliberately slow backend among two real ones, behind the
     // event front end with a SINGLE worker: if any thread parked on the
     // slow round trip, the healthy-shard request on the other connection
@@ -765,9 +763,7 @@ fn a_slow_backend_does_not_stall_healthy_shards_in_event_mode() {
             workers: 1,
             ..FrontOptions::default()
         };
-        std::thread::spawn(move || {
-            weber::shard::route_listener_with(router, front, &options).unwrap()
-        })
+        std::thread::spawn(move || route_listener(router, front, &options).unwrap())
     };
 
     // Connection 1 fires a request for the slow shard's name and does
