@@ -8,7 +8,6 @@
 //! model is *least certain* about (uncertainty sampling), instead of
 //! uniformly at random. Compared in the `ablation_active` study.
 
-use weber_graph::weighted::WeightedGraph;
 use weber_simfun::block::PreparedBlock;
 use weber_simfun::functions::SimilarityFunction;
 
@@ -29,7 +28,7 @@ pub fn uncertainty_scores(
         return scores;
     }
     for f in functions {
-        let sims: WeightedGraph = similarity_graph(block, f.as_ref());
+        let sims = similarity_graph(block, f.as_ref());
         for (i, j, w) in sims.edges() {
             let u = 1.0 - 2.0 * (w - 0.5).abs();
             scores[i] += u;

@@ -20,7 +20,7 @@ use weber_graph::weighted::WeightedGraph;
 use weber_ml::threshold::optimal_threshold;
 use weber_ml::LabeledValue;
 
-use crate::layers::EvidenceLayer;
+use crate::layers::{EvidenceLayer, LayerScore};
 use crate::supervision::Supervision;
 
 /// How a layer's voting weight is derived for the weighted average.
@@ -42,7 +42,7 @@ pub enum WeightScheme {
 }
 
 impl WeightScheme {
-    fn weight(&self, layer: &EvidenceLayer) -> f64 {
+    fn weight(&self, layer: &LayerScore) -> f64 {
         match self {
             WeightScheme::Accuracy => layer.accuracy,
             WeightScheme::Excess => (layer.accuracy - 0.5).max(0.01),
@@ -80,6 +80,38 @@ pub struct Combined {
     pub threshold: Option<f64>,
 }
 
+impl Combined {
+    /// The combined evidence of best-graph selection: the decision and
+    /// link-probability graphs of the selected layer, which sits at `index`
+    /// of the layer list.
+    pub(crate) fn selected(decisions: DecisionGraph, scores: WeightedGraph, index: usize) -> Self {
+        Combined {
+            decisions,
+            scores,
+            selected_layer: Some(index),
+            threshold: None,
+        }
+    }
+}
+
+/// Best-graph selection: the index of the layer with the highest estimated
+/// end-to-end quality (training Fp of the closed graph), tie-broken by
+/// pairwise accuracy, then towards the later layer.
+///
+/// Panics if there are no layers.
+pub(crate) fn select_best<'a>(layers: impl IntoIterator<Item = &'a LayerScore>) -> usize {
+    layers
+        .into_iter()
+        .enumerate()
+        .max_by(|a, b| {
+            a.1.selection_score
+                .total_cmp(&b.1.selection_score)
+                .then(a.1.accuracy.total_cmp(&b.1.accuracy))
+        })
+        .map(|(i, _)| i)
+        .expect("cannot select from zero layers")
+}
+
 impl CombinationStrategy {
     /// Combine `layers` over a block of `n` documents.
     ///
@@ -94,31 +126,19 @@ impl CombinationStrategy {
         assert!(!layers.is_empty(), "cannot combine zero layers");
         match self {
             CombinationStrategy::BestGraph => {
-                // Select by estimated end-to-end quality (training Fp of
-                // the closed graph), tie-broken by pairwise accuracy.
-                let best = layers
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| {
-                        a.1.selection_score
-                            .total_cmp(&b.1.selection_score)
-                            .then(a.1.accuracy.total_cmp(&b.1.accuracy))
-                    })
-                    .map(|(i, _)| i)
-                    .expect("layers is non-empty");
+                let best = select_best(layers.iter().map(|l| &l.score));
                 let layer = &layers[best];
-                Combined {
-                    decisions: layer.decisions.clone(),
-                    scores: layer.link_probability.clone(),
-                    selected_layer: Some(best),
-                    threshold: None,
-                }
+                Combined::selected(
+                    layer.decisions.clone(),
+                    layer.link_probability.clone(),
+                    best,
+                )
             }
             CombinationStrategy::WeightedAverage(scheme) => {
                 let mut mg = MultiGraph::new();
                 for layer in layers {
                     let mut ml = layer.to_multigraph_layer();
-                    ml.weight = scheme.weight(layer);
+                    ml.weight = scheme.weight(&layer.score);
                     mg.add_layer(ml);
                 }
                 let scores = mg.combined_scores();
@@ -173,19 +193,22 @@ mod tests {
             }
         });
         EvidenceLayer {
-            function: "F1",
-            criterion: DecisionCriterion::Threshold,
-            fitted: FittedDecision::Threshold {
-                fit: ThresholdFit {
-                    threshold: 0.5,
-                    training_accuracy: accuracy,
+            score: LayerScore {
+                function: "F1",
+                criterion: DecisionCriterion::Threshold,
+                fitted: FittedDecision::Threshold {
+                    fit: ThresholdFit {
+                        threshold: 0.5,
+                        training_accuracy: accuracy,
+                    },
                 },
+                accuracy,
+                selection_score: accuracy,
+                edges: decisions.edge_count(),
             },
-            similarities: WeightedGraph::new(n),
+            similarities: std::sync::Arc::new(WeightedGraph::new(n)),
             decisions,
             link_probability,
-            accuracy,
-            selection_score: accuracy,
         }
     }
 
@@ -268,15 +291,16 @@ mod tests {
     #[test]
     fn weight_schemes_map_accuracy_as_documented() {
         let l = layer(2, &[], 0.8);
+        let l = l.score;
         assert_eq!(WeightScheme::Accuracy.weight(&l), 0.8);
         assert!((WeightScheme::Excess.weight(&l) - 0.3).abs() < 1e-12);
         assert_eq!(WeightScheme::SelectionScore.weight(&l), 0.8); // helper sets = accuracy
         assert_eq!(WeightScheme::Uniform.weight(&l), 1.0);
         // Chance-level layers get (almost) no excess vote.
         let chance = layer(2, &[], 0.5);
-        assert_eq!(WeightScheme::Excess.weight(&chance), 0.01);
+        assert_eq!(WeightScheme::Excess.weight(&chance.score), 0.01);
         let bad = layer(2, &[], 0.3);
-        assert_eq!(WeightScheme::Excess.weight(&bad), 0.01);
+        assert_eq!(WeightScheme::Excess.weight(&bad.score), 0.01);
     }
 
     #[test]

@@ -3,15 +3,27 @@
 //! Steps 1–4 of Algorithm 1: compute `G_w^{f_i}`, fit each decision
 //! criterion on the training pairs, derive the decision graph `G^i_{D_j}`
 //! and its accuracy estimate `acc(G^i_{D_j})`.
+//!
+//! A layer comes in two parts. What *selection* reads — the fitted
+//! decision, its training accuracy, the training Fp of its closure and its
+//! edge count — is a [`LayerScore`], computed in one pass over the cached
+//! similarity graph into a union-find, with no graph of its own. What
+//! *combination and clustering* read — the decision graph and the
+//! link-probability graph — is an [`EvidenceLayer`], materialised from a
+//! score. Best-graph resolution and training score every layer and
+//! materialise at most the winner; the strategies that overlay all layers
+//! materialise all of them ([`build_layers_with`]). Both go through the
+//! same per-function routine, so there is one place that fits and scores.
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 use weber_eval::purity::fp_measure;
 use weber_graph::components::connected_components;
 use weber_graph::decision::DecisionGraph;
 use weber_graph::multigraph::Layer;
 use weber_graph::weighted::WeightedGraph;
-use weber_graph::Partition;
+use weber_graph::{Partition, UnionFind};
 
 use weber_simfun::block::PreparedBlock;
 use weber_simfun::functions::SimilarityFunction;
@@ -22,9 +34,10 @@ use weber_ml::LabeledValue;
 use crate::decision::{DecisionCriterion, FittedDecision};
 use crate::supervision::Supervision;
 
-/// A fully materialised evidence layer, with provenance.
+/// What best-graph selection and the layer reports read of a layer: the
+/// fitted decision and its quality estimates, with no block-sized graph.
 #[derive(Debug, Clone)]
-pub struct EvidenceLayer {
+pub struct LayerScore {
     /// Name of the similarity function that produced it (`"F1"`–`"F10"`
     /// for the standard suite, or a custom function's name).
     pub function: &'static str,
@@ -32,12 +45,6 @@ pub struct EvidenceLayer {
     pub criterion: DecisionCriterion,
     /// The fitted decision.
     pub fitted: FittedDecision,
-    /// The similarity (weighted) graph.
-    pub similarities: WeightedGraph,
-    /// The decision graph `G^i_{D_j}`.
-    pub decisions: DecisionGraph,
-    /// Per-pair link-probability graph.
-    pub link_probability: WeightedGraph,
     /// Overall accuracy estimate `acc(G^i_{D_j})` (layer weight).
     pub accuracy: f64,
     /// Estimated end-to-end quality of the layer as a resolution: the
@@ -46,30 +53,68 @@ pub struct EvidenceLayer {
     /// accuracy alone is a poor proxy for post-closure quality, because a
     /// few false-positive edges can cascade into large wrong merges.
     pub selection_score: f64,
+    /// Number of edges the fitted decision asserts over the block.
+    pub edges: usize,
+}
+
+/// A materialised evidence layer: a score plus the graphs derived from it.
+#[derive(Debug, Clone)]
+pub struct EvidenceLayer {
+    /// The fitted decision and its quality estimates.
+    pub score: LayerScore,
+    /// The similarity (weighted) graph, shared with the block's cache and
+    /// with the function's other layers.
+    pub similarities: Arc<WeightedGraph>,
+    /// The decision graph `G^i_{D_j}`.
+    pub decisions: DecisionGraph,
+    /// Per-pair link-probability graph.
+    pub link_probability: WeightedGraph,
 }
 
 impl EvidenceLayer {
+    /// Derive the graphs of a scored layer from its function's similarity
+    /// graph. `presence` is the per-document feature presence of an
+    /// input-partitioned layer (`None` for the value-based criteria).
+    fn materialise(
+        score: LayerScore,
+        similarities: &Arc<WeightedGraph>,
+        presence: Option<&[bool]>,
+    ) -> Self {
+        let both = |i: usize, j: usize| presence.is_none_or(|p| p[i] && p[j]);
+        let fitted = &score.fitted;
+        let decisions = DecisionGraph::from_weighted(similarities, |i, j, w| {
+            fitted.decide_in_cell(w, both(i, j))
+        });
+        debug_assert_eq!(decisions.edge_count(), score.edges);
+        let link_probability =
+            similarities.map_edges(|i, j, w| fitted.link_probability_in_cell(w, both(i, j)));
+        EvidenceLayer {
+            similarities: Arc::clone(similarities),
+            decisions,
+            link_probability,
+            score,
+        }
+    }
+
     /// Convert into the combination-multigraph layer form.
     pub fn to_multigraph_layer(&self) -> Layer {
         Layer {
             decisions: self.decisions.clone(),
             link_probability: self.link_probability.clone(),
-            weight: self.accuracy,
+            weight: self.score.accuracy,
         }
     }
 }
 
-/// Estimate a decision graph's quality as a resolution: transitively close
-/// it, restrict the resulting partition to the supervised documents, and
-/// score Fp against the training labels. Returns 0.5 (uninformative) when
-/// there is no supervision.
-pub fn training_fp(decisions: &DecisionGraph, supervision: &Supervision) -> f64 {
+/// Fp of a closure restricted to the supervised documents, scored against
+/// the training labels; `component_of` names a document's component in the
+/// closure. Returns 0.5 (uninformative) when there is no supervision.
+fn seed_fp(supervision: &Supervision, component_of: impl FnMut(usize) -> u32) -> f64 {
     if supervision.len() < 2 {
         return 0.5;
     }
-    let closed = connected_components(decisions);
     let docs = supervision.docs();
-    let predicted = Partition::from_labels(docs.iter().map(|&d| closed.label_of(d)).collect());
+    let predicted = Partition::from_labels(docs.iter().copied().map(component_of).collect());
     // Project the supervision labels onto the same doc order: each entity is
     // relabelled with the position of its first supervised document, in one
     // pass over the docs.
@@ -86,15 +131,29 @@ pub fn training_fp(decisions: &DecisionGraph, supervision: &Supervision) -> f64 
     fp_measure(&predicted, &truth)
 }
 
+/// Estimate a decision graph's quality as a resolution: transitively close
+/// it, restrict the resulting partition to the supervised documents, and
+/// score Fp against the training labels. Returns 0.5 (uninformative) when
+/// there is no supervision.
+///
+/// This is the definition of a layer's
+/// [`selection_score`](LayerScore::selection_score); the scoring pass
+/// computes the same number without the graph, closing the decisions in a
+/// union-find as it makes them.
+pub fn training_fp(decisions: &DecisionGraph, supervision: &Supervision) -> f64 {
+    let closed = connected_components(decisions);
+    seed_fp(supervision, |d| closed.label_of(d))
+}
+
 /// Compute the similarity graph `G_w^{f}` of one function over a block.
 ///
 /// Values are sanitised into `[0, 1]`: the contract says similarity
 /// functions stay in the unit interval, but a buggy custom function must
 /// not poison thresholds, region fits or combined scores — NaN becomes 0
 /// (no evidence), out-of-range values are clamped. Served from the block's
-/// similarity cache, so repeated calls (and streaming growth) don't
-/// recompute pairs.
-pub fn similarity_graph(block: &PreparedBlock, f: &dyn SimilarityFunction) -> WeightedGraph {
+/// similarity cache as a shared handle, so repeated calls (and streaming
+/// growth) neither recompute pairs nor copy the graph.
+pub fn similarity_graph(block: &PreparedBlock, f: &dyn SimilarityFunction) -> Arc<WeightedGraph> {
     block.similarity_graph_with(f, None)
 }
 
@@ -116,6 +175,47 @@ pub struct LayerOptions {
 /// order and share nothing mutable.
 const PARALLEL_BLOCK_LEN: usize = 64;
 
+/// Run `work` once per function — on scoped worker threads for blocks of
+/// at least [`PARALLEL_BLOCK_LEN`] documents — and concatenate the results
+/// in function order.
+fn per_function<T: Send>(
+    block: &PreparedBlock,
+    functions: &[Arc<dyn SimilarityFunction>],
+    work: impl Fn(&dyn SimilarityFunction) -> Vec<T> + Sync,
+) -> Vec<T> {
+    if functions.len() > 1 && block.len() >= PARALLEL_BLOCK_LEN {
+        let work = &work;
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = functions
+                .iter()
+                .map(|f| scope.spawn(move || work(f.as_ref())))
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("layer worker panicked"))
+                .collect()
+        })
+    } else {
+        functions.iter().flat_map(|f| work(f.as_ref())).collect()
+    }
+}
+
+/// Score every (function × criterion) layer, function-major, without
+/// materialising any graph: each function's similarity graph is borrowed
+/// from the block's cache and every criterion's decisions are closed in a
+/// union-find as they are made.
+pub(crate) fn score_layers(
+    block: &PreparedBlock,
+    functions: &[Arc<dyn SimilarityFunction>],
+    criteria: &[DecisionCriterion],
+    supervision: &Supervision,
+    options: LayerOptions,
+) -> Vec<LayerScore> {
+    per_function(block, functions, |f| {
+        function_layers(block, f, criteria, supervision, options, |score, _| score)
+    })
+}
+
 /// Build all evidence layers for the given functions and criteria.
 ///
 /// The similarity graph per function is computed once (through the block's
@@ -135,7 +235,8 @@ pub fn build_layers(
     )
 }
 
-/// [`build_layers`] with explicit [`LayerOptions`].
+/// [`build_layers`] with explicit [`LayerOptions`]: every layer is scored,
+/// then its graphs are materialised from the score.
 pub fn build_layers_with(
     block: &PreparedBlock,
     functions: &[Arc<dyn SimilarityFunction>],
@@ -143,66 +244,78 @@ pub fn build_layers_with(
     supervision: &Supervision,
     options: LayerOptions,
 ) -> Vec<EvidenceLayer> {
-    if functions.len() > 1 && block.len() >= PARALLEL_BLOCK_LEN {
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = functions
-                .iter()
-                .map(|f| {
-                    scope.spawn(move || {
-                        function_layers(block, f.as_ref(), criteria, supervision, options)
-                    })
-                })
-                .collect();
-            workers
-                .into_iter()
-                .flat_map(|w| w.join().expect("layer worker panicked"))
-                .collect()
+    per_function(block, functions, |f| {
+        function_layers(block, f, criteria, supervision, options, |score, sims| {
+            EvidenceLayer::materialise(score, sims, None)
         })
-    } else {
-        functions
-            .iter()
-            .flat_map(|f| function_layers(block, f.as_ref(), criteria, supervision, options))
-            .collect()
+    })
+}
+
+/// Apply a fitted decision to every pair of `sims`, in storage order,
+/// closing the asserted edges in a union-find as it goes. `presence` is the
+/// per-document feature presence of an input-partitioned layer (`None` for
+/// the value-based criteria). Connected components do not depend on the
+/// order edges arrive in, so the selection score is the number
+/// [`training_fp`] gives for the materialised decision graph.
+fn score_decisions(
+    function: &'static str,
+    criterion: DecisionCriterion,
+    fitted: FittedDecision,
+    sims: &WeightedGraph,
+    supervision: &Supervision,
+    presence: Option<&[bool]>,
+) -> LayerScore {
+    let both = |i: usize, j: usize| presence.is_none_or(|p| p[i] && p[j]);
+    let mut closure = UnionFind::new(sims.len());
+    let mut edges = 0;
+    for j in 1..sims.len() {
+        for (i, &w) in sims.column(j).iter().enumerate() {
+            if fitted.decide_in_cell(w, both(i, j)) {
+                edges += 1;
+                closure.union(i, j);
+            }
+        }
+    }
+    let selection_score = seed_fp(supervision, |d| closure.find(d) as u32);
+    LayerScore {
+        function,
+        criterion,
+        accuracy: fitted.training_accuracy(),
+        fitted,
+        selection_score,
+        edges,
     }
 }
 
-/// All layers of one similarity function (one per criterion).
-fn function_layers(
+/// All layers of one similarity function (one per criterion): fit, score,
+/// and hand each score to `finish` together with the function's similarity
+/// graph — the identity when only scores are wanted,
+/// [`EvidenceLayer::materialise`] when the graphs are.
+fn function_layers<T>(
     block: &PreparedBlock,
     f: &dyn SimilarityFunction,
     criteria: &[DecisionCriterion],
     supervision: &Supervision,
     options: LayerOptions,
-) -> Vec<EvidenceLayer> {
+    finish: impl Fn(LayerScore, &Arc<WeightedGraph>) -> T,
+) -> Vec<T> {
     // Stage timings: region estimation (criterion fitting) is recorded on
     // its own; everything else in this function — similarity graph,
-    // decision graphs, accuracy scoring — is the layer-build stage. Both
-    // go to global histograms, so the scoped-thread fan-out in
-    // `build_layers_with` just records one observation per function.
-    let start = std::time::Instant::now();
-    let mut fit_elapsed = std::time::Duration::ZERO;
+    // decisions, accuracy scoring, materialisation — is the layer-build
+    // stage. Both go to global histograms, so the scoped-thread fan-out in
+    // `per_function` just records one observation per function.
+    let start = Instant::now();
+    let mut fit_elapsed = Duration::ZERO;
     let sims = block.similarity_graph_with(f, options.word_vector_prefilter);
     let samples = supervision.labeled_values(|i, j| sims.get(i, j));
-    let layers: Vec<EvidenceLayer> = criteria
+    let layers: Vec<T> = criteria
         .iter()
         .map(|&criterion| {
-            let fit_start = std::time::Instant::now();
+            let fit_start = Instant::now();
             let fitted = criterion.fit(&samples);
             fit_elapsed += fit_start.elapsed();
-            let decisions = DecisionGraph::from_weighted(&sims, |_, _, w| fitted.decide(w));
-            let link_probability = sims.map(|w| fitted.link_probability(w));
-            let accuracy = fitted.training_accuracy();
-            let selection_score = training_fp(&decisions, supervision);
-            EvidenceLayer {
-                function: f.name(),
-                criterion,
-                fitted,
-                similarities: sims.clone(),
-                decisions,
-                link_probability,
-                accuracy,
-                selection_score,
-            }
+            let score = score_decisions(f.name(), criterion, fitted, &sims, supervision, None);
+            finish(score, &sims)
         })
         .collect();
     let registry = weber_obs::Registry::global();
@@ -213,6 +326,25 @@ fn function_layers(
         .histogram("core.stage.layer_build_us")
         .record(start.elapsed().saturating_sub(fit_elapsed).as_micros() as u64);
     layers
+}
+
+/// Score the input-partitioned layer of every function, in function
+/// order; see [`build_input_partitioned_layers`] for what the layer is.
+pub(crate) fn score_input_partitioned_layers(
+    block: &PreparedBlock,
+    functions: &[Arc<dyn SimilarityFunction>],
+    supervision: &Supervision,
+    options: LayerOptions,
+) -> Vec<LayerScore> {
+    per_function(block, functions, |f| {
+        vec![input_partitioned_layer(
+            block,
+            f,
+            supervision,
+            options,
+            |score, _, _| score,
+        )]
+    })
 }
 
 /// Build input-partitioned evidence layers, one per function (§IV-A's
@@ -233,47 +365,44 @@ pub fn build_input_partitioned_layers(
     build_input_partitioned_layers_with(block, functions, supervision, LayerOptions::default())
 }
 
-/// [`build_input_partitioned_layers`] with explicit [`LayerOptions`].
+/// [`build_input_partitioned_layers`] with explicit [`LayerOptions`]: every
+/// layer is scored, then its graphs are materialised from the score.
 pub fn build_input_partitioned_layers_with(
     block: &PreparedBlock,
     functions: &[Arc<dyn SimilarityFunction>],
     supervision: &Supervision,
     options: LayerOptions,
 ) -> Vec<EvidenceLayer> {
-    if functions.len() > 1 && block.len() >= PARALLEL_BLOCK_LEN {
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = functions
-                .iter()
-                .map(|f| {
-                    scope.spawn(move || {
-                        input_partitioned_layer(block, f.as_ref(), supervision, options)
-                    })
-                })
-                .collect();
-            workers
-                .into_iter()
-                .map(|w| w.join().expect("layer worker panicked"))
-                .collect()
-        })
-    } else {
-        functions
-            .iter()
-            .map(|f| input_partitioned_layer(block, f.as_ref(), supervision, options))
-            .collect()
-    }
+    per_function(block, functions, |f| {
+        vec![input_partitioned_layer(
+            block,
+            f,
+            supervision,
+            options,
+            |score, sims, presence| EvidenceLayer::materialise(score, sims, Some(presence)),
+        )]
+    })
 }
 
-/// The input-partitioned layer of one similarity function.
-fn input_partitioned_layer(
+/// Which documents carry the feature `f` compares.
+fn feature_presence(block: &PreparedBlock, f: &dyn SimilarityFunction) -> Vec<bool> {
+    (0..block.len())
+        .map(|d| f.feature_presence(block, d) > 0.5)
+        .collect()
+}
+
+/// The input-partitioned layer of one similarity function: fit the two
+/// cells, score, and hand the score to `finish` together with the
+/// similarity graph and the per-document feature presence.
+fn input_partitioned_layer<T>(
     block: &PreparedBlock,
     f: &dyn SimilarityFunction,
     supervision: &Supervision,
     options: LayerOptions,
-) -> EvidenceLayer {
+    finish: impl Fn(LayerScore, &Arc<WeightedGraph>, &[bool]) -> T,
+) -> T {
     let sims = block.similarity_graph_with(f, options.word_vector_prefilter);
-    let presence: Vec<bool> = (0..block.len())
-        .map(|d| f.feature_presence(block, d) > 0.5)
-        .collect();
+    let presence = feature_presence(block, f);
     let both = |i: usize, j: usize| presence[i] && presence[j];
     // Split the training pairs by input cell and fit each.
     let mut cell_present: Vec<LabeledValue> = Vec::new();
@@ -301,29 +430,31 @@ fn input_partitioned_layer(
         missing: fit_missing,
         training_accuracy,
     };
-    let decisions = {
-        let mut d = DecisionGraph::new(block.len());
-        for (i, j, w) in sims.edges() {
-            if fitted.decide_in_cell(w, both(i, j)) {
-                d.add_edge(i, j);
-            }
-        }
-        d
-    };
-    let link_probability = WeightedGraph::from_fn(block.len(), |i, j| {
-        fitted.link_probability_in_cell(sims.get(i, j), both(i, j))
-    });
-    let selection_score = training_fp(&decisions, supervision);
-    EvidenceLayer {
-        function: f.name(),
-        criterion: DecisionCriterion::InputPartitioned,
+    let score = score_decisions(
+        f.name(),
+        DecisionCriterion::InputPartitioned,
         fitted,
-        similarities: sims,
-        decisions,
-        link_probability,
-        accuracy: training_accuracy,
-        selection_score,
-    }
+        &sims,
+        supervision,
+        Some(&presence),
+    );
+    finish(score, &sims, &presence)
+}
+
+/// Materialise the graphs of one scored layer of `f` — the layer
+/// best-graph selection picked, typically. The similarity graph comes back
+/// out of the block's cache (the scoring pass left it there), so this costs
+/// one decision graph and one link-probability graph and nothing else.
+pub(crate) fn materialise_layer(
+    block: &PreparedBlock,
+    f: &dyn SimilarityFunction,
+    score: LayerScore,
+    options: LayerOptions,
+) -> EvidenceLayer {
+    let sims = block.similarity_graph_with(f, options.word_vector_prefilter);
+    let presence = matches!(score.fitted, FittedDecision::InputCells { .. })
+        .then(|| feature_presence(block, f));
+    EvidenceLayer::materialise(score, &sims, presence.as_deref())
 }
 
 #[cfg(test)]
@@ -370,7 +501,7 @@ mod tests {
         assert_eq!(layers.len(), functions.len() * criteria.len());
         for layer in &layers {
             assert_eq!(layer.decisions.len(), block.len());
-            assert!((0.0..=1.0).contains(&layer.accuracy));
+            assert!((0.0..=1.0).contains(&layer.score.accuracy));
         }
     }
 
@@ -385,9 +516,9 @@ mod tests {
             &sup,
         );
         assert!(
-            layers[0].accuracy > 0.6,
+            layers[0].score.accuracy > 0.6,
             "TF-IDF cosine should separate training pairs reasonably: {}",
-            layers[0].accuracy
+            layers[0].score.accuracy
         );
     }
 
@@ -403,7 +534,7 @@ mod tests {
         );
         let layer = &layers[0];
         for (i, j, w) in layer.similarities.edges() {
-            assert_eq!(layer.decisions.has_edge(i, j), layer.fitted.decide(w));
+            assert_eq!(layer.decisions.has_edge(i, j), layer.score.fitted.decide(w));
         }
     }
 
@@ -416,8 +547,11 @@ mod tests {
         assert_eq!(layers.len(), 2);
         for layer in &layers {
             assert_eq!(layer.decisions.len(), block.len());
-            assert!((0.0..=1.0).contains(&layer.accuracy));
-            assert!(matches!(layer.fitted, FittedDecision::InputCells { .. }));
+            assert!((0.0..=1.0).contains(&layer.score.accuracy));
+            assert!(matches!(
+                layer.score.fitted,
+                FittedDecision::InputCells { .. }
+            ));
         }
     }
 
@@ -431,14 +565,12 @@ mod tests {
             &[function(FunctionId::F2)],
             &Supervision::empty(),
         );
-        assert_eq!(layers[0].accuracy, 0.5);
+        assert_eq!(layers[0].score.accuracy, 0.5);
     }
 
-    #[test]
-    fn parallel_layer_build_matches_sequential() {
-        // Grow a block past PARALLEL_BLOCK_LEN by cycling preset documents,
-        // then check that the threaded fan-out produces exactly the layers
-        // the sequential path would, in the same order.
+    /// A block grown to PARALLEL_BLOCK_LEN by cycling preset documents, so
+    /// the threaded fan-out runs, with the truth the cycling implies.
+    fn parallel_block() -> (PreparedBlock, Partition) {
         let dataset = generate(&presets::tiny(11));
         let extractor = Extractor::new(&dataset.gazetteer);
         let b = &dataset.blocks[0];
@@ -453,7 +585,15 @@ mod tests {
         let truth: Vec<u32> = (0..PARALLEL_BLOCK_LEN as u32)
             .map(|i| i % b.documents.len() as u32)
             .collect();
-        let sup = Supervision::sample_from_truth(&Partition::from_labels(truth), 0.3, 5);
+        (block, Partition::from_labels(truth))
+    }
+
+    #[test]
+    fn parallel_layer_build_matches_sequential() {
+        // Check that the threaded fan-out produces exactly the layers the
+        // sequential path would, in the same order.
+        let (block, truth) = parallel_block();
+        let sup = Supervision::sample_from_truth(&truth, 0.3, 5);
         let functions = vec![
             function(FunctionId::F2),
             function(FunctionId::F4),
@@ -466,18 +606,120 @@ mod tests {
         let sequential: Vec<EvidenceLayer> = functions
             .iter()
             .flat_map(|f| {
-                function_layers(&block, f.as_ref(), &criteria, &sup, LayerOptions::default())
+                function_layers(
+                    &block,
+                    f.as_ref(),
+                    &criteria,
+                    &sup,
+                    LayerOptions::default(),
+                    |score, sims| EvidenceLayer::materialise(score, sims, None),
+                )
             })
             .collect();
         assert_eq!(parallel.len(), sequential.len());
         for (p, s) in parallel.iter().zip(&sequential) {
-            assert_eq!(p.function, s.function);
-            assert_eq!(p.criterion, s.criterion);
+            assert_eq!(p.score.function, s.score.function);
+            assert_eq!(p.score.criterion, s.score.criterion);
             assert_eq!(p.similarities, s.similarities);
             assert_eq!(p.link_probability, s.link_probability);
-            assert_eq!(p.accuracy, s.accuracy);
-            assert_eq!(p.selection_score, s.selection_score);
+            assert_eq!(p.score.accuracy, s.score.accuracy);
+            assert_eq!(p.score.selection_score, s.score.selection_score);
             assert_eq!(p.decisions.edge_count(), s.decisions.edge_count());
+        }
+    }
+
+    /// Score every layer and build every layer of the same configuration,
+    /// and check each score against the graphs materialised from it.
+    fn assert_scores_match_layers(block: &PreparedBlock, sup: &Supervision) {
+        let functions = weber_simfun::functions::standard_suite();
+        let criteria = DecisionCriterion::standard_set();
+        let options = LayerOptions::default();
+        let mut scores = score_layers(block, &functions, &criteria, sup, options);
+        scores.extend(score_input_partitioned_layers(
+            block, &functions, sup, options,
+        ));
+        let mut layers = build_layers_with(block, &functions, &criteria, sup, options);
+        layers.extend(build_input_partitioned_layers_with(
+            block, &functions, sup, options,
+        ));
+        assert_eq!(scores.len(), functions.len() * (criteria.len() + 1));
+        assert_eq!(scores.len(), layers.len());
+        for (score, layer) in scores.iter().zip(&layers) {
+            let what = format!("{} {}", score.function, score.criterion.label());
+            assert_eq!(score.function, layer.score.function);
+            assert_eq!(score.criterion, layer.score.criterion);
+            assert_eq!(
+                format!("{:?}", score.fitted),
+                format!("{:?}", layer.score.fitted),
+                "{what}"
+            );
+            assert_eq!(
+                score.accuracy.to_bits(),
+                layer.score.accuracy.to_bits(),
+                "{what}"
+            );
+            assert_eq!(
+                score.selection_score.to_bits(),
+                layer.score.selection_score.to_bits(),
+                "{what}"
+            );
+            assert_eq!(score.edges, layer.decisions.edge_count(), "{what}");
+            // The path that does not go through the scoring pass's
+            // union-find: close the materialised decision graph by
+            // connected components and score that.
+            assert_eq!(
+                score.selection_score.to_bits(),
+                training_fp(&layer.decisions, sup).to_bits(),
+                "{what}: {} from the scoring pass",
+                score.selection_score
+            );
+        }
+    }
+
+    #[test]
+    fn scores_equal_their_materialised_layers() {
+        for seed in [11, 21, 33] {
+            let dataset = generate(&presets::tiny(seed));
+            let extractor = Extractor::new(&dataset.gazetteer);
+            for b in &dataset.blocks {
+                let features = b
+                    .documents
+                    .iter()
+                    .map(|d| extractor.extract(&d.text, d.url.as_deref()))
+                    .collect();
+                let block = PreparedBlock::new(b.query_name.clone(), features, TfIdf::default());
+                let sup = Supervision::sample_from_truth(&b.truth(), 0.3, seed);
+                assert_scores_match_layers(&block, &sup);
+            }
+        }
+        // And once with the parallel gate open.
+        let (block, truth) = parallel_block();
+        let sup = Supervision::sample_from_truth(&truth, 0.3, 5);
+        assert_scores_match_layers(&block, &sup);
+        assert_scores_match_layers(&block, &Supervision::empty());
+    }
+
+    #[test]
+    fn materialising_one_score_matches_building_every_layer() {
+        let (block, truth) = prepared_block();
+        let sup = Supervision::sample_from_truth(&truth, 0.4, 8);
+        let functions = vec![function(FunctionId::F2), function(FunctionId::F8)];
+        let criteria = DecisionCriterion::standard_set();
+        let options = LayerOptions::default();
+        let mut scores = score_layers(&block, &functions, &criteria, &sup, options);
+        scores.extend(score_input_partitioned_layers(
+            &block, &functions, &sup, options,
+        ));
+        let mut layers = build_layers_with(&block, &functions, &criteria, &sup, options);
+        layers.extend(build_input_partitioned_layers_with(
+            &block, &functions, &sup, options,
+        ));
+        let function_of = [0, 0, 0, 1, 1, 1, 0, 1];
+        for ((score, all), f) in scores.into_iter().zip(&layers).zip(function_of) {
+            let one = materialise_layer(&block, functions[f].as_ref(), score, options);
+            assert!(Arc::ptr_eq(&one.similarities, &all.similarities));
+            assert_eq!(one.decisions, all.decisions);
+            assert_eq!(one.link_probability, all.link_probability);
         }
     }
 
@@ -492,7 +734,7 @@ mod tests {
             &sup,
         );
         let ml = layers[0].to_multigraph_layer();
-        assert_eq!(ml.weight, layers[0].accuracy);
+        assert_eq!(ml.weight, layers[0].score.accuracy);
         assert_eq!(ml.decisions.edge_count(), layers[0].decisions.edge_count());
     }
 }

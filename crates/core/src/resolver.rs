@@ -7,10 +7,13 @@ use weber_simfun::block::PreparedBlock;
 use weber_simfun::functions::{function, subset_i10, FunctionId, SimilarityFunction};
 
 use crate::clustering::ClusteringMethod;
-use crate::combine::CombinationStrategy;
+use crate::combine::{select_best, CombinationStrategy, Combined};
 use crate::decision::DecisionCriterion;
 use crate::error::CoreError;
-use crate::layers::{build_layers_with, LayerOptions};
+use crate::layers::{
+    build_input_partitioned_layers_with, build_layers_with, materialise_layer,
+    score_input_partitioned_layers, score_layers, LayerOptions, LayerScore,
+};
 use crate::supervision::Supervision;
 
 /// Configuration of a resolution run: which functions, which decision
@@ -264,47 +267,110 @@ impl Resolver {
         results.into_iter().collect()
     }
 
+    fn layer_options(&self) -> LayerOptions {
+        LayerOptions {
+            word_vector_prefilter: self.config.word_vector_prefilter,
+        }
+    }
+
+    /// Score every configured layer without materialising any: the
+    /// standard layers function-major (criteria inner), then — when
+    /// configured — one input-partitioned layer per function.
+    pub(crate) fn score_layers(
+        &self,
+        block: &PreparedBlock,
+        supervision: &Supervision,
+    ) -> Vec<LayerScore> {
+        let config = &self.config;
+        let options = self.layer_options();
+        let mut scores = score_layers(
+            block,
+            &config.functions,
+            &config.criteria,
+            supervision,
+            options,
+        );
+        if config.input_partitioned {
+            scores.extend(score_input_partitioned_layers(
+                block,
+                &config.functions,
+                supervision,
+                options,
+            ));
+        }
+        scores
+    }
+
+    /// The similarity function behind layer `index` of the
+    /// [`score_layers`](Self::score_layers) layout.
+    pub(crate) fn layer_function(&self, index: usize) -> &Arc<dyn SimilarityFunction> {
+        let config = &self.config;
+        let standard = config.functions.len() * config.criteria.len();
+        if index < standard {
+            &config.functions[index / config.criteria.len()]
+        } else {
+            &config.functions[index - standard]
+        }
+    }
+
     /// Resolve one prepared block with the given supervision.
+    ///
+    /// Under best-graph combination every layer is scored and only the
+    /// selected one is materialised; the other strategies overlay all
+    /// layers and so materialise all of them.
     pub fn resolve(
         &self,
         block: &PreparedBlock,
         supervision: &Supervision,
     ) -> Result<Resolution, CoreError> {
         supervision.validate(block.len())?;
-        let options = LayerOptions {
-            word_vector_prefilter: self.config.word_vector_prefilter,
-        };
-        let mut layers = build_layers_with(
-            block,
-            &self.config.functions,
-            &self.config.criteria,
-            supervision,
-            options,
-        );
-        if self.config.input_partitioned {
-            layers.extend(crate::layers::build_input_partitioned_layers_with(
+        let config = &self.config;
+        let options = self.layer_options();
+        let best_graph = config.combination == CombinationStrategy::BestGraph;
+        // Materialised up front only for the strategies that overlay them.
+        let mut layers = Vec::new();
+        let scores: Vec<LayerScore> = if best_graph {
+            self.score_layers(block, supervision)
+        } else {
+            layers = build_layers_with(
                 block,
-                &self.config.functions,
+                &config.functions,
+                &config.criteria,
                 supervision,
                 options,
-            ));
-        }
+            );
+            if config.input_partitioned {
+                layers.extend(build_input_partitioned_layers_with(
+                    block,
+                    &config.functions,
+                    supervision,
+                    options,
+                ));
+            }
+            layers.iter().map(|l| l.score.clone()).collect()
+        };
         let (combined, partition) = weber_obs::time_stage("core.stage.clustering_us", || {
-            let combined = self
-                .config
-                .combination
-                .combine(&layers, supervision, block.len());
-            let partition = self.config.clustering.cluster(&combined);
+            let combined = if best_graph {
+                let best = select_best(&scores);
+                let function = self.layer_function(best).as_ref();
+                let layer = materialise_layer(block, function, scores[best].clone(), options);
+                Combined::selected(layer.decisions, layer.link_probability, best)
+            } else {
+                config
+                    .combination
+                    .combine(&layers, supervision, block.len())
+            };
+            let partition = config.clustering.cluster(&combined);
             (combined, partition)
         });
-        let reports = layers
+        let reports = scores
             .iter()
-            .map(|l| LayerReport {
-                function: l.function,
-                criterion: l.criterion.label(),
-                accuracy: l.accuracy,
-                selection_score: l.selection_score,
-                edges: l.decisions.edge_count(),
+            .map(|s| LayerReport {
+                function: s.function,
+                criterion: s.criterion.label(),
+                accuracy: s.accuracy,
+                selection_score: s.selection_score,
+                edges: s.edges,
             })
             .collect();
         Ok(Resolution {

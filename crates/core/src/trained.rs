@@ -16,10 +16,9 @@ use weber_graph::WeightedGraph;
 use weber_simfun::block::PreparedBlock;
 use weber_simfun::functions::SimilarityFunction;
 
-use crate::combine::CombinationStrategy;
+use crate::combine::select_best;
 use crate::decision::{DecisionCriterion, FittedDecision};
 use crate::error::CoreError;
-use crate::layers::{build_input_partitioned_layers_with, build_layers_with, LayerOptions};
 use crate::resolver::Resolver;
 use crate::supervision::Supervision;
 
@@ -82,9 +81,10 @@ impl TrainedModel {
         block.pair_similarity(self.function.as_ref(), self.prefilter, i, j)
     }
 
-    /// The full similarity graph of the selected function over `block`,
-    /// served from (and feeding) the block's incremental similarity cache.
-    pub fn similarity_graph(&self, block: &PreparedBlock) -> WeightedGraph {
+    /// The full similarity graph of the selected function over `block`: a
+    /// shared handle served from (and feeding) the block's incremental
+    /// similarity cache.
+    pub fn similarity_graph(&self, block: &PreparedBlock) -> Arc<WeightedGraph> {
         block.similarity_graph_with(self.function.as_ref(), self.prefilter)
     }
 
@@ -189,8 +189,11 @@ impl TrainedModel {
 }
 
 impl Resolver {
-    /// Fit every configured evidence layer on the block's supervision, then
-    /// extract the best-graph-selected layer as a reusable [`TrainedModel`].
+    /// Fit and score every configured evidence layer on the block's
+    /// supervision, then extract the best-graph-selected layer as a
+    /// reusable [`TrainedModel`]. No layer's graphs are materialised: a
+    /// model is a fitted decision and two quality estimates, all of which
+    /// the scoring pass already holds.
     ///
     /// Selection always uses best-graph (maximal training-Fp selection
     /// score, ties broken by accuracy), regardless of the configured
@@ -202,44 +205,16 @@ impl Resolver {
         supervision: &Supervision,
     ) -> Result<TrainedModel, CoreError> {
         supervision.validate(block.len())?;
-        let config = self.config();
-        let options = LayerOptions {
-            word_vector_prefilter: config.word_vector_prefilter,
-        };
-        let mut layers = build_layers_with(
-            block,
-            &config.functions,
-            &config.criteria,
-            supervision,
-            options,
-        );
-        if config.input_partitioned {
-            layers.extend(build_input_partitioned_layers_with(
-                block,
-                &config.functions,
-                supervision,
-                options,
-            ));
-        }
-        let combined = CombinationStrategy::BestGraph.combine(&layers, supervision, block.len());
-        let idx = combined
-            .selected_layer
-            .expect("best-graph selection always picks a layer");
-        let layer = &layers[idx];
-        // Standard layers are laid out function-major (criteria inner);
-        // input-partitioned layers follow, one per function.
-        let base = config.functions.len() * config.criteria.len();
-        let function = if idx < base {
-            Arc::clone(&config.functions[idx / config.criteria.len()])
-        } else {
-            Arc::clone(&config.functions[idx - base])
-        };
+        let mut scores = self.score_layers(block, supervision);
+        let idx = select_best(&scores);
+        let layer = scores.swap_remove(idx);
+        let function = Arc::clone(self.layer_function(idx));
         debug_assert_eq!(function.name(), layer.function);
         Ok(TrainedModel {
             function,
-            fitted: layer.fitted.clone(),
+            fitted: layer.fitted,
             criterion: layer.criterion,
-            prefilter: config.word_vector_prefilter,
+            prefilter: self.config().word_vector_prefilter,
             accuracy: layer.accuracy,
             selection_score: layer.selection_score,
         })
@@ -249,6 +224,7 @@ impl Resolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::combine::CombinationStrategy;
     use crate::layers::build_layers;
     use crate::resolver::ResolverConfig;
     use weber_corpus::{generate, presets};

@@ -25,15 +25,18 @@ impl DecisionGraph {
     }
 
     /// Derive a decision graph from a weighted graph by a predicate on
-    /// `(i, j, weight)`.
+    /// `(i, j, weight)`. Pairs are visited in the weighted graph's storage
+    /// (colex) order, so the weights are read front to back.
     pub fn from_weighted(
         g: &WeightedGraph,
         mut keep: impl FnMut(usize, usize, f64) -> bool,
     ) -> Self {
         let mut d = Self::new(g.len());
-        for (i, j, w) in g.edges() {
-            if keep(i, j, w) {
-                d.add_edge(i, j);
+        for j in 1..g.len() {
+            for (i, &w) in g.column(j).iter().enumerate() {
+                if keep(i, j, w) {
+                    d.add_edge(i, j);
+                }
             }
         }
         d

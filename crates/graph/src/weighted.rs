@@ -2,9 +2,14 @@
 //!
 //! `G_w^{f_i}` in the paper: nodes are the documents of one block (same
 //! ambiguous name), the weight on edge `{i, j}` is the similarity value
-//! `f_i(d_i, d_j) ∈ [0, 1]`. Stored as a flat upper-triangular matrix —
-//! blocks are small (≈100–150 documents), so the dense representation is
-//! both the fastest and the simplest.
+//! `f_i(d_i, d_j) ∈ [0, 1]`. Stored as a flat upper-triangular matrix:
+//! every pair carries a value, so the dense representation is both the
+//! fastest and the simplest. It is not small, though — the paper's blocks
+//! are ≈100–150 documents, the benchmark's 300–1,000, and at 1,000
+//! documents one graph is 4 MB — so whole-graph passes should walk the
+//! buffer in storage order ([`column`](WeightedGraph::column),
+//! [`weight_values`](WeightedGraph::weight_values)) and callers should
+//! share a graph rather than copy it.
 //!
 //! The triangle is laid out in *colexicographic* (column-major) order:
 //! entry `{i, j}` with `i < j` lives at `j·(j−1)/2 + i`, so all edges of
@@ -110,6 +115,16 @@ impl WeightedGraph {
         }
     }
 
+    /// A graph with the same nodes and `f(i, j, weight)` applied to every
+    /// edge `i < j`, visited in storage (colex) order.
+    pub fn map_edges(&self, mut f: impl FnMut(usize, usize, f64) -> f64) -> Self {
+        let mut weights = Vec::with_capacity(self.weights.len());
+        for j in 1..self.n {
+            weights.extend(self.column(j).iter().enumerate().map(|(i, &w)| f(i, j, w)));
+        }
+        Self { n: self.n, weights }
+    }
+
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.n
@@ -152,6 +167,16 @@ impl WeightedGraph {
     pub fn edges(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
         (0..self.n)
             .flat_map(move |i| (i + 1..self.n).map(move |j| (i, j, self.weights[self.index(i, j)])))
+    }
+
+    /// The weights of node `j`'s edges to every lower-numbered node:
+    /// `column(j)[i]` is the weight of `{i, j}` for `i < j`. This is the
+    /// contiguous run [`push_node`](Self::push_node) appended for `j`, so
+    /// walking `column(1)`, `column(2)`, … reads the buffer front to back.
+    pub fn column(&self, j: usize) -> &[f64] {
+        assert!(j < self.n, "node {j} out of range for {} nodes", self.n);
+        let start = j * j.saturating_sub(1) / 2;
+        &self.weights[start..start + j]
     }
 
     /// All edge weights in colex order: pair `(i, j)` with `i < j`, sorted
@@ -257,6 +282,32 @@ mod tests {
         for (i, j, w) in g.edges() {
             assert_eq!(doubled.get(i, j), 2.0 * w);
         }
+    }
+
+    #[test]
+    fn columns_tile_the_buffer_in_storage_order() {
+        let g = WeightedGraph::from_fn(5, |i, j| (10 * i + j) as f64);
+        assert!(g.column(0).is_empty());
+        let mut walked = Vec::new();
+        for j in 0..g.len() {
+            let column = g.column(j);
+            assert_eq!(column.len(), j);
+            for (i, &w) in column.iter().enumerate() {
+                assert_eq!(w, g.get(i, j));
+            }
+            walked.extend_from_slice(column);
+        }
+        assert_eq!(walked, g.weight_values());
+    }
+
+    #[test]
+    fn map_edges_sees_each_pair_with_its_weight() {
+        let g = WeightedGraph::from_fn(4, |i, j| (i + j) as f64);
+        let tagged = g.map_edges(|i, j, w| (100 * i + 10 * j) as f64 + w);
+        for (i, j, w) in g.edges() {
+            assert_eq!(tagged.get(i, j), (100 * i + 10 * j) as f64 + w);
+        }
+        assert_eq!(WeightedGraph::new(0).map_edges(|_, _, w| w).len(), 0);
     }
 
     #[test]

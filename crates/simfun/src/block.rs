@@ -6,18 +6,20 @@
 //! person with the same name". TF-IDF statistics (document frequencies) are
 //! therefore block-local, exactly as a per-name Lucene index would be.
 //!
-//! Beyond the vectors, the block owns the *similarity cache*: one
-//! [`WeightedGraph`] per `(function, prefilter)` key, grown by appending one
-//! row per new document instead of recomputing all `n·(n−1)/2` pairs. Entry
-//! validity is structural — a cached graph is current when it covers every
-//! document and (for word-vector functions) was computed at the current
-//! vector [generation](PreparedBlock::vector_generation) — so the cache
-//! needs no explicit invalidation calls and stays bit-identical to a
-//! from-scratch computation.
+//! Beyond the vectors, the block owns the *similarity cache*: one shared
+//! [`WeightedGraph`] handle per `(function, prefilter)` key, grown by
+//! appending one row per new document instead of recomputing all
+//! `n·(n−1)/2` pairs. Entry validity is structural — a cached graph is
+//! current when it covers every document and (for word-vector functions)
+//! was computed at the current vector
+//! [generation](PreparedBlock::vector_generation) — so the cache needs no
+//! explicit invalidation calls and stays bit-identical to a from-scratch
+//! computation. Callers get an `Arc` to the cached graph, never a copy: at
+//! 1,000 documents one graph is 4 MB, and training reads ten of them.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use weber_extract::features::PageFeatures;
 use weber_graph::weighted::WeightedGraph;
@@ -134,10 +136,12 @@ impl CacheStats {
 
 #[derive(Debug, Clone)]
 struct CachedGraph {
-    graph: WeightedGraph,
-    /// The vector generation the graph was computed at; only meaningful for
-    /// word-vector functions (feature-function values never go stale).
-    generation: u64,
+    /// Shared with every caller that asked for it; the cache extends it in
+    /// place when it holds the only handle.
+    graph: Arc<WeightedGraph>,
+    /// The vector generation a word-vector function's graph was computed
+    /// at; `None` for feature functions, whose values never go stale.
+    generation: Option<u64>,
 }
 
 /// Blocks at or above this size use every available core to fill a
@@ -179,7 +183,8 @@ pub struct PreparedBlock {
     vectors_stale: bool,
     /// Per-(function, prefilter) similarity graphs. Interior-mutable so
     /// read paths (`&self`) can populate it; computation happens outside
-    /// the lock, which is only held to clone a graph in or out.
+    /// the lock, which is only held to hand out a handle or to take an
+    /// entry out and put it back.
     sim_cache: Mutex<HashMap<CacheKey, CachedGraph>>,
     /// Hit/grow/rebuild counters over `sim_cache`. Block-private by
     /// default; [`set_cache_stats`](Self::set_cache_stats) swaps in a
@@ -357,6 +362,12 @@ impl PreparedBlock {
         &self.minhash[i]
     }
 
+    fn cache(&self) -> MutexGuard<'_, HashMap<CacheKey, CachedGraph>> {
+        self.sim_cache
+            .lock()
+            .expect("no code that can panic runs under the similarity-cache lock")
+    }
+
     /// The similarity of documents `i` and `j` under `f`, sanitised into
     /// `[0, 1]` (NaN ↦ 0) and short-circuited to 0 by the optional MinHash
     /// `prefilter` for word-vector functions whose estimated shingle
@@ -385,10 +396,11 @@ impl PreparedBlock {
     }
 
     /// The full pairwise similarity graph of `f` over the block, served
-    /// from the block's cache.
+    /// from the block's cache as a shared handle.
     ///
     /// Cache policy:
-    /// - a cached graph covering all `n` documents is returned as-is;
+    /// - a cached graph covering all `n` documents is returned as-is (a
+    ///   reference-count bump);
     /// - a cached graph covering a prefix of the documents is *grown* by
     ///   appending one row per missing document (valid for feature
     ///   functions always, and for word-vector functions when the vector
@@ -397,62 +409,74 @@ impl PreparedBlock {
     /// - otherwise the graph is rebuilt from scratch, fanning row chunks
     ///   across all cores for blocks of ≥ 256 documents.
     ///
-    /// The refreshed entry is stored back, so repeated calls (layer builds,
-    /// checkpoint retraining, transitive-closure rebuilds) cost one memcpy.
+    /// An entry that needs work is taken out of the map, so the lock is
+    /// not held while pairs are scored and a grow extends the graph in
+    /// place: it is copied first only if a caller still holds a handle to
+    /// the shorter graph (which that caller keeps, unchanged). A stale
+    /// entry is freed before its replacement is built. A second request
+    /// for the same key during that window finds no entry and rebuilds —
+    /// correct, and it does not happen: layer builds ask once per function
+    /// and a name's stream is serialised.
     pub fn similarity_graph_with(
         &self,
         f: &dyn SimilarityFunction,
         prefilter: Option<f64>,
-    ) -> WeightedGraph {
+    ) -> Arc<WeightedGraph> {
         let n = self.len();
         let word = f.uses_word_vectors();
         debug_assert!(
             !(word && self.vectors_stale),
             "word-vector graph requested after push_deferred without ensure_vectors"
         );
-        let generation = self.store.generation();
+        let generation = word.then(|| self.store.generation());
         let key: CacheKey = (f.name(), prefilter.map(f64::to_bits));
-        let cached = self.sim_cache.lock().unwrap().get(&key).cloned();
-        let had_entry = cached.is_some();
-        let graph = match cached {
-            Some(c) if (!word || c.generation == generation) && c.graph.len() == n => {
-                self.cache_stats.hits.fetch_add(1, Ordering::Relaxed);
-                return c.graph;
+        let taken = {
+            let mut cache = self.cache();
+            match cache.get(&key) {
+                Some(c) if c.generation == generation && c.graph.len() == n => {
+                    self.cache_stats.hits.fetch_add(1, Ordering::Relaxed);
+                    return Arc::clone(&c.graph);
+                }
+                _ => cache.remove(&key),
             }
-            Some(c) if (!word || c.generation == generation) && c.graph.len() < n => {
+        };
+        let graph = match taken {
+            Some(c) if c.generation == generation && c.graph.len() < n => {
                 self.cache_stats.grows.fetch_add(1, Ordering::Relaxed);
-                let mut g = c.graph;
+                let mut graph = c.graph;
+                let g = Arc::make_mut(&mut graph);
                 let mut row = Vec::with_capacity(n - 1);
                 for j in g.len()..n {
                     row.clear();
                     row.extend((0..j).map(|i| self.pair_similarity(f, prefilter, i, j)));
                     g.push_node(&row);
                 }
-                g
+                graph
             }
-            _ => {
+            stale => {
                 self.cache_stats.rebuilds.fetch_add(1, Ordering::Relaxed);
-                if had_entry {
+                if stale.is_some() {
                     // An entry existed but could not be used: its word
                     // vectors were re-weighted since it was computed.
                     self.cache_stats
                         .invalidations
                         .fetch_add(1, Ordering::Relaxed);
                 }
+                drop(stale);
                 let threads = if n >= PARALLEL_BUILD_LEN {
                     std::thread::available_parallelism().map_or(1, |t| t.get())
                 } else {
                     1
                 };
-                WeightedGraph::from_fn_par(n, threads, |i, j| {
+                Arc::new(WeightedGraph::from_fn_par(n, threads, |i, j| {
                     self.pair_similarity(f, prefilter, i, j)
-                })
+                }))
             }
         };
-        self.sim_cache.lock().unwrap().insert(
+        self.cache().insert(
             key,
             CachedGraph {
-                graph: graph.clone(),
+                graph: Arc::clone(&graph),
                 generation,
             },
         );
@@ -464,11 +488,11 @@ impl PreparedBlock {
     /// arrival.
     ///
     /// For feature functions the row is read from the cached graph (growing
-    /// it on the way, so the work is reused by the next checkpoint). For
-    /// word-vector functions the row is computed directly: their cached
-    /// graphs go stale on almost every push, and caching a row that the
-    /// next arrival invalidates would just add a full-matrix rebuild per
-    /// ingest.
+    /// it in place on the way, so the work is reused by the next
+    /// checkpoint). For word-vector functions the row is computed directly:
+    /// their cached graphs go stale on almost every push, and caching a row
+    /// that the next arrival invalidates would just add a full-matrix
+    /// rebuild per ingest.
     pub fn similarity_row_with(
         &self,
         f: &dyn SimilarityFunction,
@@ -480,9 +504,21 @@ impl PreparedBlock {
                 .map(|i| self.pair_similarity(f, prefilter, i, doc))
                 .collect()
         } else {
-            let g = self.similarity_graph_with(f, prefilter);
-            (0..doc).map(|i| g.get(i, doc)).collect()
+            self.similarity_graph_with(f, prefilter)
+                .column(doc)
+                .to_vec()
         }
+    }
+
+    /// Drop every cached word-vector graph except `keep`'s. A word-vector
+    /// graph is valid only at the vector generation it was computed at,
+    /// and a streaming block's generation has always moved by the time
+    /// anything asks again, so once training has picked its function the
+    /// others' graphs are block-sized allocations that can never hit.
+    /// Feature-function graphs stay: their prefixes are grown, not rebuilt.
+    pub fn retain_word_vector_graph(&self, keep: &str) {
+        self.cache()
+            .retain(|&(name, _), c| c.generation.is_none() || name == keep);
     }
 }
 
@@ -717,6 +753,87 @@ mod tests {
         b.similarity_graph_with(&wv, None);
         assert_eq!(stats.invalidations(), 1);
         assert_eq!(stats.misses(), stats.grows() + stats.rebuilds());
+    }
+
+    #[test]
+    fn repeated_requests_share_one_graph() {
+        let b = block(TEXTS);
+        let f = NearDuplicateSimilarity;
+        let first = b.similarity_graph_with(&f, None);
+        let second = b.similarity_graph_with(&f, None);
+        assert!(Arc::ptr_eq(&first, &second), "a hit must not copy");
+        assert_eq!((b.cache_stats().rebuilds(), b.cache_stats().hits()), (1, 1));
+    }
+
+    #[test]
+    fn a_held_handle_survives_growth_unchanged() {
+        let e = extractor();
+        let mut b = PreparedBlock::empty("cohen", WordVectorScheme::default());
+        for t in &TEXTS[..3] {
+            b.push(e.extract(t, None));
+        }
+        let f = NearDuplicateSimilarity;
+        let held = b.similarity_graph_with(&f, None);
+        b.push(e.extract(TEXTS[3], None));
+        let row = b.similarity_row_with(&f, None, 3);
+        // Copy-on-write: the cache grew its own graph, the caller's handle
+        // still is the three-document graph it was given.
+        assert_eq!(held.len(), 3);
+        let grown = b.similarity_graph_with(&f, None);
+        assert_eq!(grown.len(), 4);
+        assert!(!Arc::ptr_eq(&held, &grown));
+        assert_eq!(grown.column(3), &row[..]);
+        for (i, j, w) in held.edges() {
+            assert_eq!(grown.get(i, j), w);
+        }
+    }
+
+    #[test]
+    fn an_unshared_graph_grows_in_place() {
+        let e = extractor();
+        let mut b = PreparedBlock::empty("cohen", WordVectorScheme::default());
+        for t in &TEXTS[..3] {
+            b.push(e.extract(t, None));
+        }
+        let f = NearDuplicateSimilarity;
+        let before = Arc::as_ptr(&b.similarity_graph_with(&f, None));
+        for t in &TEXTS[3..] {
+            let doc = b.push(e.extract(t, None));
+            let grows = b.cache_stats().grows();
+            let row = b.similarity_row_with(&f, None, doc);
+            assert_eq!(b.cache_stats().grows(), grows + 1);
+            assert_eq!(row.len(), doc);
+            for (i, &v) in row.iter().enumerate() {
+                assert_eq!(v, b.pair_similarity(&f, None, i, doc), "member {i}");
+            }
+        }
+        // Nobody held a handle across the pushes, so the cache extended
+        // the one allocation it had.
+        let after = b.similarity_graph_with(&f, None);
+        assert_eq!(after.len(), TEXTS.len());
+        assert_eq!(Arc::as_ptr(&after), before);
+    }
+
+    #[test]
+    fn only_the_kept_word_vector_graph_survives_a_prune() {
+        let b = block(TEXTS);
+        for f in standard_suite() {
+            b.similarity_graph_with(f.as_ref(), None);
+        }
+        let stats = b.cache_stats();
+        assert_eq!((stats.rebuilds(), stats.hits()), (10, 0));
+        b.retain_word_vector_graph("F8");
+        for f in standard_suite() {
+            let (rebuilds, hits) = (stats.rebuilds(), stats.hits());
+            b.similarity_graph_with(f.as_ref(), None);
+            if f.uses_word_vectors() && f.name() != "F8" {
+                assert_eq!(stats.rebuilds(), rebuilds + 1, "{} was dropped", f.name());
+            } else {
+                assert_eq!(stats.hits(), hits + 1, "{} was kept", f.name());
+            }
+        }
+        // A dropped entry is a cold build, not a discarded stale one.
+        assert_eq!(stats.invalidations(), 0);
     }
 
     #[test]

@@ -73,9 +73,9 @@ pub struct NameState {
 /// block, with the supervision's known same-entity pairs merged on top
 /// (seed labels are ground truth for their documents).
 ///
-/// Reads the pairwise values from the model's similarity graph — which the
-/// block serves from its incremental cache, so a closure rebuild right
-/// after training reuses the graph the evidence layers already built.
+/// Reads the pairwise values from the model's similarity graph — a handle
+/// to the graph in the block's incremental cache, so a closure rebuild
+/// right after training reuses the graph the scoring pass already built.
 fn closure_partition(
     block: &PreparedBlock,
     model: &TrainedModel,
@@ -84,8 +84,9 @@ fn closure_partition(
     let sims = model.similarity_graph(block);
     let mut partition = OnlinePartition::new();
     for i in 0..block.len() {
-        let links: Vec<usize> = (0..i)
-            .filter(|&j| model.decide_value(block, i, j, sims.get(j, i)))
+        let links: Vec<usize> = (sims.column(i).iter().enumerate())
+            .filter(|&(j, &value)| model.decide_value(block, i, j, value))
+            .map(|(j, _)| j)
             .collect();
         partition.insert(links);
     }
@@ -158,6 +159,10 @@ impl NameState {
         );
         let model = resolver.train(&block, &supervision)?;
         let partition = closure_partition(&block, &model, &supervision);
+        // Training left a word-vector graph in the block's cache for every
+        // function it scored; the next checkpoint finds the vectors
+        // re-weighted and rebuilds them, so only the selected one is kept.
+        block.retain_word_vector_graph(model.function_name());
         let retrain_at = block.len() * 2;
         let seed_labels = labels.to_vec();
         let last_refit_generation = block.vector_generation();
@@ -196,6 +201,8 @@ impl NameState {
             self.model.refit(&self.block, &self.supervision);
         }
         self.partition = closure_partition(&self.block, &self.model, &self.supervision);
+        self.block
+            .retain_word_vector_graph(self.model.function_name());
         self.retrain_at = self.block.len() * 2;
         self.last_refit_generation = self.block.vector_generation();
     }
@@ -385,6 +392,22 @@ mod tests {
         assert!(p.same_cluster(0, 1));
         assert!(p.same_cluster(2, 3));
         assert!(!p.same_cluster(0, 2));
+    }
+
+    #[test]
+    fn seeding_keeps_no_word_vector_graph_but_the_selected_functions() {
+        let (state, _) = seeded();
+        let stats = std::sync::Arc::clone(state.block().cache_stats());
+        for f in weber_simfun::functions::standard_suite() {
+            let (hits, rebuilds) = (stats.hits(), stats.rebuilds());
+            state.block().similarity_graph_with(f.as_ref(), None);
+            if f.uses_word_vectors() && f.name() != state.model().function_name() {
+                assert_eq!(stats.rebuilds(), rebuilds + 1, "{} was dropped", f.name());
+            } else {
+                assert_eq!(stats.hits(), hits + 1, "{} was kept", f.name());
+            }
+        }
+        assert_eq!(stats.invalidations(), 0);
     }
 
     #[test]

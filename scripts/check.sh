@@ -24,6 +24,15 @@ cargo test -q
 echo "==> serving-tier units: cargo test -q --release -p weber-net -p weber-shard -p weber-stream"
 cargo test -q --release -p weber-net -p weber-shard -p weber-stream
 
+echo "==> resolver-core units: cargo test -q --release -p weber-core -p weber-simfun -p weber-graph"
+cargo test -q --release -p weber-core -p weber-simfun -p weber-graph
+
+# The benchmark harness is a workspace of its own that compiles against
+# the crates' public API and may not be edited by a change that claims a
+# gain: a break must show here, not in the benchmark run.
+echo "==> harness build: (cd benchmark && cargo build --release --offline)"
+(cd benchmark && cargo build --release --offline)
+
 echo "==> router smoke: scripts/route_smoke.sh"
 scripts/route_smoke.sh
 
