@@ -8,8 +8,8 @@
 //! the recall-vs-comparisons trade-off curve of the blocking literature,
 //! one point per strategy.
 //!
-//! `--smoke` switches to the small preset with one rep for CI;
-//! `--bench-out DIR` relocates the report (shared with the perf harness).
+//! `--smoke` switches to the small preset with one rep for CI; `--out FILE`
+//! names the report.
 
 use std::time::Instant;
 
@@ -50,7 +50,6 @@ struct Options {
     reps: usize,
     smoke: bool,
     out: String,
-    bench_out: Option<String>,
 }
 
 impl Default for Options {
@@ -60,7 +59,6 @@ impl Default for Options {
             reps: 3,
             smoke: false,
             out: "BENCH_block.json".into(),
-            bench_out: None,
         }
     }
 }
@@ -77,16 +75,12 @@ fn parse_args() -> Options {
             "--seed" => opts.seed = value("--seed").parse().expect("--seed: integer"),
             "--reps" => opts.reps = value("--reps").parse::<usize>().expect("--reps").max(1),
             "--out" => opts.out = value("--out"),
-            "--bench-out" => opts.bench_out = Some(value("--bench-out")),
             "--smoke" => {
                 opts.smoke = true;
                 opts.reps = 1;
             }
             other => panic!("unknown argument: {other}"),
         }
-    }
-    if let Some(dir) = &opts.bench_out {
-        opts.out = weber_bench::redirect_into(dir, &opts.out);
     }
     opts
 }

@@ -4,7 +4,8 @@
 //!
 //! The benchmark harness regenerating every table and figure of the
 //! paper's evaluation section (see `DESIGN.md` §4 and `EXPERIMENTS.md`),
-//! plus Criterion micro-benchmarks and ablation studies.
+//! plus ablation studies and the blocking-quality record `block_bench`.
+//! Performance is measured by the repo benchmark in `benchmark/`, not here.
 //!
 //! Binaries (run with `cargo run -p weber-bench --release --bin <name>`):
 //!
@@ -51,22 +52,6 @@ pub fn paper_protocol() -> ExperimentConfig {
 /// Format a metric to 4 decimals, as the paper's tables print them.
 pub fn fmt(v: f64) -> String {
     format!("{v:.4}")
-}
-
-/// Redirect an output file into `dir` (keeping its file name), creating
-/// the directory if needed. This is the `--bench-out DIR` behaviour shared
-/// by the perf and block-bench binaries: one flag relocates every report
-/// a run produces without respelling each `--*-out` path.
-pub fn redirect_into(dir: &str, path: &str) -> String {
-    std::fs::create_dir_all(dir)
-        .unwrap_or_else(|e| panic!("cannot create bench output directory {dir}: {e}"));
-    let name = std::path::Path::new(path)
-        .file_name()
-        .unwrap_or_else(|| panic!("output path '{path}' has no file name"));
-    std::path::Path::new(dir)
-        .join(name)
-        .to_string_lossy()
-        .into_owned()
 }
 
 /// The current git revision (short hash, `+dirty` when the tree has local

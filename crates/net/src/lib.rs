@@ -20,9 +20,9 @@
 //!   (stdin/stdout): read a line, answer it, read the next.
 //!
 //! A serving tier implements [`NdjsonService`] (classify + process) and
-//! gets 10k+ connection capacity with per-connection reply ordering for
-//! free. Both `weber serve` and `weber route` execute every request
-//! line through it, on TCP and on stdio alike.
+//! gets one reactor thread for every connection, with per-connection
+//! reply ordering, for free. Both `weber serve` and `weber route`
+//! execute every request line through it, on TCP and on stdio alike.
 
 mod buffer;
 mod poller;
@@ -32,8 +32,7 @@ mod sys;
 
 pub use buffer::{LineFramer, WriteBuffer};
 pub use poller::{
-    connect_nonblocking, connect_outcome, raise_nofile_limit, ConnectProgress, Event, Interest,
-    Poller, Waker,
+    connect_nonblocking, connect_outcome, ConnectProgress, Event, Interest, Poller, Waker,
 };
 pub use pool::{Completion, CompletionSender, Dispatch, RouteClass, WorkerPool};
 pub use server::{

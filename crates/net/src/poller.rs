@@ -141,8 +141,6 @@ impl Waker {
     }
 }
 
-/// Re-export for front ends and the load generator.
-pub use sys::raise_nofile_limit;
 /// Re-exports for outbound (client-side) reactors: begin a connect
 /// without blocking, finish it when `EPOLLOUT` fires.
 pub use sys::{connect_nonblocking, connect_outcome, ConnectProgress};

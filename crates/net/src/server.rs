@@ -235,6 +235,9 @@ pub fn serve<S: NdjsonService>(
     listener: TcpListener,
     options: ServerOptions,
 ) -> io::Result<u64> {
+    // Best effort: at the default 1024-fd soft cap accept fails with
+    // EMFILE near a thousand clients, whatever max_connections says.
+    let _ = crate::sys::raise_nofile_limit();
     listener.set_nonblocking(true)?;
     let metrics = NetMetrics::new(options.registry.as_ref());
 

@@ -265,9 +265,10 @@ pub fn connect_outcome(stream: &TcpStream) -> io::Result<()> {
 }
 
 /// Raise the soft `RLIMIT_NOFILE` to the hard limit and return the new
-/// soft limit. Front ends and the load generator call this so tens of
-/// thousands of sockets do not trip the default 1024-fd soft cap.
-pub fn raise_nofile_limit() -> io::Result<u64> {
+/// soft limit. [`serve`](crate::serve) calls this once at reactor start,
+/// so a front end configured for thousands of connections does not trip
+/// the default 1024-fd soft cap.
+pub(crate) fn raise_nofile_limit() -> io::Result<u64> {
     let mut lim = Rlimit {
         rlim_cur: 0,
         rlim_max: 0,

@@ -249,38 +249,6 @@ impl HistogramSnapshot {
             self.sum as f64 / self.count as f64
         }
     }
-
-    /// Estimate the `q`-quantile (`0.0..=1.0`) from the bucket counts by
-    /// linear interpolation inside the bucket holding the quantile rank.
-    /// The estimate is clamped to the observed `[min, max]` range, so an
-    /// overflow-bucket rank answers `max` rather than infinity. Returns 0
-    /// when the histogram is empty.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = q * self.count as f64;
-        let mut seen = 0u64;
-        let mut lower = 0u64;
-        for &(bound, n) in &self.buckets {
-            let upper = match bound {
-                BucketCount::Le(b) => b,
-                BucketCount::Overflow => self.max,
-            };
-            if n > 0 {
-                let cum = seen + n;
-                if rank <= cum as f64 {
-                    let within = (rank - seen as f64) / n as f64;
-                    let est = lower as f64 + within * (upper.saturating_sub(lower)) as f64;
-                    return est.clamp(self.min as f64, self.max as f64);
-                }
-                seen = cum;
-            }
-            lower = upper;
-        }
-        self.max as f64
-    }
 }
 
 /// A point-in-time copy of every metric in a registry, sorted by name.
@@ -602,34 +570,7 @@ mod tests {
         assert_eq!(s.min, 0);
         assert_eq!(s.max, 0);
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.quantile(0.99), 0.0);
         assert!(s.buckets.iter().all(|&(_, c)| c == 0));
-    }
-
-    #[test]
-    fn quantiles_interpolate_and_clamp_to_observed_range() {
-        let h = Histogram::with_bounds(&[10, 100, 1000]);
-        // 90 values in (10, 100], 10 in (100, 1000].
-        for _ in 0..90 {
-            h.record(50);
-        }
-        for _ in 0..10 {
-            h.record(500);
-        }
-        let s = h.snapshot("t");
-        // p50 falls in the second bucket, interpolated between 10 and 100.
-        let p50 = s.quantile(0.5);
-        assert!(p50 > 10.0 && p50 <= 100.0, "p50 = {p50}");
-        // p99 lands in the third bucket but clamps to the observed max.
-        let p99 = s.quantile(0.99);
-        assert!(p99 > 100.0 && p99 <= 500.0, "p99 = {p99}");
-        // Quantile 0 never goes below the smallest observation.
-        assert!(s.quantile(0.0) >= s.min as f64);
-        // Overflow-bucket ranks answer the observed max, not infinity.
-        let h2 = Histogram::with_bounds(&[10]);
-        h2.record(7_000);
-        let s2 = h2.snapshot("t");
-        assert_eq!(s2.quantile(0.99), 7_000.0);
     }
 
     #[test]

@@ -20,10 +20,6 @@
 //!                [--probe-interval SECS] [--max-connections N]
 //!                [--workers N] [--queue N]
 //!                [--idle-timeout SECS] [--max-pipeline N]
-//! weber loadgen  --connect ADDR [--connections N] [--duration SECS]
-//!                [--warmup SECS] [--mode open|closed] [--rate OPS]
-//!                [--pipeline N] [--names N] [--zipf S] [--ingest-weight W]
-//!                [--resolve-weight W] [--seed N] [--out FILE]
 //! ```
 
 use std::collections::HashMap;
@@ -67,10 +63,6 @@ USAGE:
                   [--probe-interval SECS] [--max-connections N]
                   [--workers N] [--queue N]
                   [--idle-timeout SECS] [--max-pipeline N]
-  weber loadgen   --connect ADDR [--connections N] [--duration SECS]
-                  [--warmup SECS] [--mode open|closed] [--rate OPS]
-                  [--pipeline N] [--names N] [--zipf S] [--ingest-weight W]
-                  [--resolve-weight W] [--seed N] [--out FILE]
   weber --version | --help
 
 The resolve/experiment commands use the paper's full technique (functions
@@ -106,11 +98,11 @@ cannot-link / one-to-one / type rules enforced at materialization.
 --dataset seeds the gazetteer from a generated corpus file. On stdio each
 line is answered before the next is read. With --listen the daemon serves
 clients concurrently, up to --max-connections at once (default 64): one
-epoll reactor thread multiplexes every connection, which holds 10k+
-mostly-idle persistent connections, and --workers and --queue size the
-worker pool and per-worker admission queue behind it (--io event is still
-accepted and means nothing; the thread-per-connection --io threads is
-gone). --idle-timeout SECS evicts silent connections (0 = never, the
+epoll reactor thread multiplexes every connection (the open-file soft
+limit is raised to the hard limit at startup), and --workers and --queue
+size the worker pool and per-worker admission queue behind it (--io
+event is still accepted and means nothing; the thread-per-connection
+--io threads is gone). --idle-timeout SECS evicts silent connections (0 = never, the
 default); --max-pipeline N caps in-flight pipelined requests per
 connection (default 256) — past it the reactor stops reading that socket
 until replies drain. --state-dir DIR persists per-name state: existing records
@@ -149,17 +141,7 @@ persisting the old ring first so names migrate through a shared
 --state-dir. Backends are probed every --probe-interval seconds
 (default 1) with exponential backoff while down. The front end takes the
 same --idle-timeout / --max-pipeline / --workers / --queue tuning as
-serve.
-
-The loadgen command drives either front end with NDJSON traffic from one
-reactor thread holding --connections persistent sockets (default 100):
---mode open (default) releases --rate ops/s on a fixed schedule so
-latency includes queueing delay; --mode closed keeps --pipeline requests
-in flight per connection and measures saturation throughput. Requests
-draw names Zipf(--zipf)-skewed from --names seeded names with an
---ingest-weight : --resolve-weight op mix, and the JSON report (stdout
-or --out) quotes throughput plus p50/p95/p99 latency measured after
---warmup seconds.";
+serve.";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -223,7 +205,6 @@ fn run(args: &[String]) -> Result<(), String> {
         "block" => cmd_block(&flags),
         "serve" => cmd_serve(&flags),
         "route" => cmd_route(&flags),
-        "loadgen" => cmd_loadgen(&flags),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
             Ok(())
@@ -626,83 +607,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         }
     }
     eprintln!("served {admitted} requests");
-    Ok(())
-}
-
-fn cmd_loadgen(flags: &HashMap<String, String>) -> Result<(), String> {
-    let addr = flags
-        .get("connect")
-        .ok_or("missing required flag --connect")?;
-    let mode = flags.get("mode").map(String::as_str).unwrap_or("open");
-    let rate = match mode {
-        "open" => Some(parse(flags, "rate", 1_000u64)?),
-        "closed" => None,
-        other => {
-            return Err(format!(
-                "invalid --mode '{other}' (expected open or closed)"
-            ))
-        }
-    };
-    let opts = weber::loadgen::LoadgenOptions {
-        connections: parse(flags, "connections", 100)?,
-        duration: std::time::Duration::from_secs(parse(flags, "duration", 10)?),
-        warmup: std::time::Duration::from_secs(parse(flags, "warmup", 1)?),
-        rate,
-        pipeline: parse(flags, "pipeline", 1)?,
-        names: parse(flags, "names", 64)?,
-        zipf_s: parse(flags, "zipf", 1.0)?,
-        ingest_weight: parse(flags, "ingest-weight", 8)?,
-        resolve_weight: parse(flags, "resolve-weight", 2)?,
-        seed: parse(flags, "seed", 1)?,
-    };
-    if opts.connections == 0 {
-        return Err("--connections must be at least 1".into());
-    }
-    if opts.pipeline == 0 {
-        return Err("--pipeline must be at least 1".into());
-    }
-    match &rate {
-        Some(r) => eprintln!(
-            "loadgen: {} connections against {addr}, open loop at {r} ops/s, \
-             {} names (zipf {}), {}s warmup + {}s measured",
-            opts.connections,
-            opts.names,
-            opts.zipf_s,
-            opts.warmup.as_secs(),
-            opts.duration.as_secs()
-        ),
-        None => eprintln!(
-            "loadgen: {} connections against {addr}, closed loop ({} in flight each), \
-             {} names (zipf {}), {}s warmup + {}s measured",
-            opts.connections,
-            opts.pipeline,
-            opts.names,
-            opts.zipf_s,
-            opts.warmup.as_secs(),
-            opts.duration.as_secs()
-        ),
-    }
-    let report = weber::loadgen::run(addr, &opts).map_err(|e| e.to_string())?;
-    let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-    match flags.get("out") {
-        Some(path) => {
-            std::fs::write(path, format!("{json}\n"))
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
-            eprintln!("wrote report to {path}");
-        }
-        None => println!("{json}"),
-    }
-    eprintln!(
-        "loadgen: {:.0} ops/s, p50 {:.0}us p95 {:.0}us p99 {:.0}us, \
-         {} errors, {} connections closed early, {} unanswered",
-        report.throughput_ops_s,
-        report.overall.p50_us,
-        report.overall.p95_us,
-        report.overall.p99_us,
-        report.errors,
-        report.closed_early,
-        report.unanswered
-    );
     Ok(())
 }
 

@@ -38,14 +38,9 @@
 //!   meta-blocking (block graph + weight-edge pruning) and MinHash/LSH
 //!   candidate generation over flat dirty corpora, behind the
 //!   `weber block` subcommand.
-//! - [`loadgen`] — the load generator behind `weber loadgen`: open/
-//!   closed-loop NDJSON traffic with Zipf name skew over thousands of
-//!   persistent connections, reporting latency percentiles.
 //!
 //! See `README.md` for a tour and `EXPERIMENTS.md` for the reproduced
 //! tables/figures.
-
-pub mod loadgen;
 
 pub use weber_block as block;
 pub use weber_core as core;

@@ -2,10 +2,10 @@
 //! `weber serve`): incremental framing against slow clients, idle-timeout
 //! eviction, connection-cap refusal, and connection-count soaks.
 //!
-//! Everything here drives a real `serve_listener` over real sockets; the
-//! soak tests also exercise the loadgen engine, whose closed-loop
-//! bookkeeping doubles as a correctness check (every reply must match a
-//! request on the same connection, in order).
+//! Everything here drives a real `serve_listener` over real, blocking
+//! `TcpStream`s. The soaks hold every connection open at once and check
+//! each reply against the request it answers: `"ok":true`, the same `op`
+//! and `name`, in request order on its connection, none missing.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -13,7 +13,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use weber::extract::gazetteer::{EntityKind, Gazetteer};
-use weber::loadgen::{self, LoadgenOptions};
 use weber::stream::{serve_listener, StreamConfig, StreamResolver, TcpOptions};
 
 fn gazetteer() -> Gazetteer {
@@ -160,49 +159,162 @@ fn connections_past_the_cap_are_refused_with_an_error_line() {
     server.join().unwrap();
 }
 
-fn soak(connections: usize, rate: u64, duration: Duration) {
+const SOAK_NAMES: usize = 16;
+
+fn soak_name(i: usize) -> String {
+    format!("soak{:02}", i % SOAK_NAMES)
+}
+
+fn seed_line(name: &str) -> String {
+    format!(
+        concat!(
+            r#"{{"op":"seed","name":"{}","docs":["#,
+            r#"{{"text":"databases are fun and databases are important","label":0}},"#,
+            r#"{{"text":"databases are hard but databases pay well","label":0}},"#,
+            r#"{{"text":"gardening tips for growing roses","label":1}},"#,
+            r#"{{"text":"gardening advice on pruning roses","label":1}}]}}"#
+        ),
+        name
+    )
+}
+
+/// One request line and the `op` / `name` its reply must echo.
+struct Request {
+    op: &'static str,
+    name: String,
+    line: String,
+}
+
+/// Request `k` on connection `conn`. Ingest and resolve alternate and
+/// consecutive requests name different names, so a reply delivered out
+/// of order cannot pass for the one expected.
+fn soak_request(conn: usize, k: usize) -> Request {
+    let name = soak_name(conn + k);
+    let (op, line) = if (conn + k).is_multiple_of(2) {
+        let text = format!("databases and gardening field note {conn}.{k}");
+        (
+            "ingest",
+            format!(r#"{{"op":"ingest","name":"{name}","text":"{text}"}}"#),
+        )
+    } else {
+        ("resolve", format!(r#"{{"op":"resolve","name":"{name}"}}"#))
+    };
+    Request { op, name, line }
+}
+
+/// One persistent blocking connection.
+struct Client {
+    writer: TcpStream,
+    reader: BufReader<TcpStream>,
+}
+
+impl Client {
+    fn connect(addr: std::net::SocketAddr) -> Self {
+        let writer = TcpStream::connect(addr).unwrap();
+        writer
+            .set_read_timeout(Some(Duration::from_secs(60)))
+            .unwrap();
+        let reader = BufReader::new(writer.try_clone().unwrap());
+        Self { writer, reader }
+    }
+
+    /// Write every request line in one `write_all`.
+    fn send(&mut self, requests: &[Request]) {
+        let mut buf = String::new();
+        for r in requests {
+            buf.push_str(&r.line);
+            buf.push('\n');
+        }
+        self.writer.write_all(buf.as_bytes()).unwrap();
+    }
+
+    /// Read one reply per request, in request order, and check each is
+    /// an ok reply to its request's `op` on its `name`.
+    fn expect(&mut self, requests: &[Request]) {
+        for Request { op, name, .. } in requests {
+            let mut reply = String::new();
+            let n = self
+                .reader
+                .read_line(&mut reply)
+                .unwrap_or_else(|e| panic!("no {op} reply for {name}: {e}"));
+            assert!(n > 0, "connection closed before the {op} reply for {name}");
+            assert!(
+                reply.contains(r#""ok":true"#)
+                    && reply.contains(&format!(r#""op":"{op}""#))
+                    && reply.contains(&format!(r#""name":"{name}""#)),
+                "expected an ok {op} reply for {name}, got {reply}"
+            );
+        }
+    }
+}
+
+/// Requests `ks` on every connection: all written before any reply is read.
+fn exchange(clients: &mut [Client], ks: std::ops::Range<usize>) {
+    let batches: Vec<Vec<Request>> = (0..clients.len())
+        .map(|c| ks.clone().map(|k| soak_request(c, k)).collect())
+        .collect();
+    for (client, batch) in clients.iter_mut().zip(&batches) {
+        client.send(batch);
+    }
+    for (client, batch) in clients.iter_mut().zip(&batches) {
+        client.expect(batch);
+    }
+}
+
+/// Hold `connections` open, seed the names, run `rounds` rounds of one
+/// request per connection, then one pipelined burst of `burst` lines per
+/// connection.
+fn soak(connections: usize, rounds: usize, burst: usize) {
     let (addr, server) = start_server(TcpOptions {
         max_connections: connections + 8,
         workers: 2,
-        queue_capacity: 512,
+        // Room for every line in flight on one worker: nothing is shed.
+        queue_capacity: connections * burst,
         ..TcpOptions::default()
     });
-    let report = loadgen::run(
-        &addr.to_string(),
-        &LoadgenOptions {
-            connections,
-            duration,
-            warmup: Duration::from_millis(500),
-            rate: Some(rate),
-            names: 16,
-            ..LoadgenOptions::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(report.errors, 0, "{report:?}");
-    assert_eq!(report.setup_errors, 0, "{report:?}");
-    assert_eq!(report.closed_early, 0, "{report:?}");
-    assert_eq!(report.unanswered, 0, "{report:?}");
-    assert!(
-        report.measured > 0 && report.completed >= report.measured,
-        "{report:?}"
-    );
+    let mut clients: Vec<Client> = (0..connections).map(|_| Client::connect(addr)).collect();
+
+    let seeds: Vec<Request> = (0..SOAK_NAMES)
+        .map(|i| {
+            let name = soak_name(i);
+            let line = seed_line(&name);
+            Request {
+                op: "seed",
+                name,
+                line,
+            }
+        })
+        .collect();
+    clients[0].send(&seeds);
+    clients[0].expect(&seeds);
+
+    for round in 0..rounds {
+        exchange(&mut clients, round..round + 1);
+    }
+    exchange(&mut clients, rounds..rounds + burst);
+
+    drop(clients);
     shutdown(addr);
-    server.join().unwrap();
+    let admitted = server.join().unwrap();
+    // Seeds, every round and burst line, and the shutdown line.
+    let expected = SOAK_NAMES + connections * (rounds + burst) + 1;
+    assert_eq!(admitted, expected as u64);
 }
 
-/// Tier-1 soak: one reactor holds 128 persistent connections while an
-/// open-loop trickle keeps them all occasionally active.
+/// Tier-1 soak: one reactor holds 128 persistent connections, each
+/// active in every round.
 #[test]
 fn soak_128_connections_open_loop() {
-    soak(128, 300, Duration::from_secs(2));
+    soak(128, 4, 4);
 }
 
-/// Full soak: 1000 mostly-idle persistent connections through one
-/// reactor thread. Ignored in tier-1 (several seconds, many fds); run
-/// with `cargo test --test net -- --ignored`.
+/// Full soak: 1000 persistent connections through one reactor thread.
+/// With the client ends in the same process that is about 2,000 fds, so
+/// it also checks that `serve` lifts the default 1024-fd soft limit.
+/// Ignored in tier-1 (several seconds, many fds); run with
+/// `cargo test --release --test net -- --ignored`.
 #[test]
 #[ignore = "slow: 1000-connection soak"]
 fn soak_1000_connections_open_loop() {
-    soak(1000, 500, Duration::from_secs(5));
+    soak(1000, 2, 2);
 }
