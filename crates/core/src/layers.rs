@@ -181,9 +181,16 @@ const PARALLEL_BLOCK_LEN: usize = 64;
 fn per_function<T: Send>(
     block: &PreparedBlock,
     functions: &[Arc<dyn SimilarityFunction>],
+    options: LayerOptions,
     work: impl Fn(&dyn SimilarityFunction) -> Vec<T> + Sync,
 ) -> Vec<T> {
     if functions.len() > 1 && block.len() >= PARALLEL_BLOCK_LEN {
+        // One sweep builds the F8–F10 graphs together. Asked for here, it
+        // runs once and the workers hit; asked for by the workers, each
+        // would find its entry missing and build the family itself.
+        if let Some(f) = functions.iter().find(|f| f.word_vector_measure().is_some()) {
+            block.similarity_graph_with(f.as_ref(), options.word_vector_prefilter);
+        }
         let work = &work;
         std::thread::scope(|scope| {
             let workers: Vec<_> = functions
@@ -211,7 +218,7 @@ pub(crate) fn score_layers(
     supervision: &Supervision,
     options: LayerOptions,
 ) -> Vec<LayerScore> {
-    per_function(block, functions, |f| {
+    per_function(block, functions, options, |f| {
         function_layers(block, f, criteria, supervision, options, |score, _| score)
     })
 }
@@ -244,7 +251,7 @@ pub fn build_layers_with(
     supervision: &Supervision,
     options: LayerOptions,
 ) -> Vec<EvidenceLayer> {
-    per_function(block, functions, |f| {
+    per_function(block, functions, options, |f| {
         function_layers(block, f, criteria, supervision, options, |score, sims| {
             EvidenceLayer::materialise(score, sims, None)
         })
@@ -336,7 +343,7 @@ pub(crate) fn score_input_partitioned_layers(
     supervision: &Supervision,
     options: LayerOptions,
 ) -> Vec<LayerScore> {
-    per_function(block, functions, |f| {
+    per_function(block, functions, options, |f| {
         vec![input_partitioned_layer(
             block,
             f,
@@ -373,7 +380,7 @@ pub fn build_input_partitioned_layers_with(
     supervision: &Supervision,
     options: LayerOptions,
 ) -> Vec<EvidenceLayer> {
-    per_function(block, functions, |f| {
+    per_function(block, functions, options, |f| {
         vec![input_partitioned_layer(
             block,
             f,
@@ -626,6 +633,19 @@ mod tests {
             assert_eq!(p.score.selection_score, s.score.selection_score);
             assert_eq!(p.decisions.edge_count(), s.decisions.edge_count());
         }
+    }
+
+    #[test]
+    fn the_fan_out_builds_the_word_vector_family_once() {
+        let (block, truth) = parallel_block();
+        let sup = Supervision::sample_from_truth(&truth, 0.3, 5);
+        let functions = weber_simfun::functions::standard_suite();
+        let criteria = DecisionCriterion::standard_set();
+        score_layers(&block, &functions, &criteria, &sup, LayerOptions::default());
+        let stats = block.cache_stats();
+        // Seven feature graphs and one F8–F10 sweep; every worker hits.
+        assert_eq!(stats.rebuilds(), 8);
+        assert_eq!(stats.hits(), 3);
     }
 
     /// Score every layer and build every layer of the same configuration,

@@ -19,6 +19,8 @@
 //! what lets streaming blocks grow a cached similarity graph by one row
 //! per ingested document instead of rebuilding the whole matrix.
 
+use std::ops::Range;
+
 /// A complete undirected weighted graph over `n` nodes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WeightedGraph {
@@ -50,48 +52,79 @@ impl WeightedGraph {
 
     /// Build by evaluating `f(i, j)` for every pair `i < j`, splitting the
     /// triangle into contiguous column runs of roughly equal edge count and
-    /// filling each run on its own scoped worker thread.
+    /// filling them in parallel ([`from_column_runs`](Self::from_column_runs)).
     ///
     /// The thread count is explicit so callers can match it to their own
     /// scheduling (and tests can exercise the parallel path on any
     /// machine); `threads <= 1` falls back to the sequential build. The
     /// result is identical to [`from_fn`](Self::from_fn) for any pure `f`.
     pub fn from_fn_par(n: usize, threads: usize, f: impl Fn(usize, usize) -> f64 + Sync) -> Self {
-        let edge_count = n * n.saturating_sub(1) / 2;
-        let threads = threads.min(edge_count);
-        if threads <= 1 {
-            return Self::from_fn(n, f);
-        }
-        let mut weights = vec![0.0; edge_count];
-        let target = edge_count.div_ceil(threads);
-        std::thread::scope(|scope| {
-            let f = &f;
-            let mut rest: &mut [f64] = &mut weights;
-            let mut first_col = 1usize;
-            while first_col < n {
-                // Column j holds j edges; take columns until the run
-                // reaches the per-thread target.
-                let mut end_col = first_col;
-                let mut run_len = 0usize;
-                while end_col < n && run_len < target {
-                    run_len += end_col;
-                    end_col += 1;
+        let mut graphs = Self::from_column_runs(n, 1, threads, |columns, runs| {
+            let mut edges = runs[0].iter_mut();
+            for j in columns {
+                for i in 0..j {
+                    *edges.next().expect("a run holds its columns' edges") = f(i, j);
                 }
-                let (run, tail) = rest.split_at_mut(run_len);
-                rest = tail;
-                scope.spawn(move || {
-                    let mut k = 0;
-                    for j in first_col..end_col {
-                        for i in 0..j {
-                            run[k] = f(i, j);
-                            k += 1;
-                        }
-                    }
-                });
-                first_col = end_col;
             }
         });
-        Self { n, weights }
+        graphs.pop().expect("one graph was asked for")
+    }
+
+    /// Build `count` graphs over the same `n` nodes together, column by
+    /// column. `fill(columns, runs)` writes columns `columns` of every
+    /// graph: `runs[g]` is graph `g`'s colex storage for exactly those
+    /// columns, so edge `{i, j}` sits at `i` plus the edge count of the
+    /// run's columns before `j`.
+    ///
+    /// The triangle is split into contiguous column runs of roughly equal
+    /// edge count, one per thread; the last run is filled on the calling
+    /// thread and the others on scoped workers. `threads <= 1` is one run,
+    /// filled in one call.
+    pub fn from_column_runs(
+        n: usize,
+        count: usize,
+        threads: usize,
+        fill: impl Fn(Range<usize>, &mut [&mut [f64]]) + Sync,
+    ) -> Vec<Self> {
+        let edge_count = n * n.saturating_sub(1) / 2;
+        let target = edge_count.div_ceil(threads.clamp(1, edge_count.max(1)));
+        let mut buffers = vec![vec![0.0; edge_count]; count];
+        let mut rests: Vec<&mut [f64]> = buffers.iter_mut().map(Vec::as_mut_slice).collect();
+        let mut runs = Vec::new();
+        let mut first_col = 1usize;
+        while first_col < n {
+            // Column j holds j edges; take columns until the run reaches
+            // the per-thread target.
+            let mut end_col = first_col;
+            let mut run_len = 0usize;
+            while end_col < n && run_len < target {
+                run_len += end_col;
+                end_col += 1;
+            }
+            let slices: Vec<&mut [f64]> = rests
+                .iter_mut()
+                .map(|rest| {
+                    let (run, tail) = std::mem::take(rest).split_at_mut(run_len);
+                    *rest = tail;
+                    run
+                })
+                .collect();
+            runs.push((first_col..end_col, slices));
+            first_col = end_col;
+        }
+        if let Some((last_columns, mut last)) = runs.pop() {
+            let fill = &fill;
+            std::thread::scope(|scope| {
+                for (columns, mut slices) in runs {
+                    scope.spawn(move || fill(columns, &mut slices));
+                }
+                fill(last_columns, &mut last);
+            });
+        }
+        buffers
+            .into_iter()
+            .map(|weights| Self { n, weights })
+            .collect()
     }
 
     /// Append one node, with `row[i]` the weight of its edge to existing
@@ -270,6 +303,30 @@ mod tests {
             for threads in [1usize, 2, 3, 4, 100] {
                 let parallel = WeightedGraph::from_fn_par(n, threads, weight);
                 assert_eq!(parallel, sequential, "n={n}, threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn column_runs_fill_several_graphs_like_one_each() {
+        let weight = |g: usize, i: usize, j: usize| (1000 * g + 31 * i + j) as f64;
+        for n in [0usize, 1, 2, 3, 17, 64] {
+            for threads in [1usize, 2, 3, 100] {
+                let graphs = WeightedGraph::from_column_runs(n, 3, threads, |columns, runs| {
+                    for (g, run) in runs.iter_mut().enumerate() {
+                        let mut edges = run.iter_mut();
+                        for j in columns.clone() {
+                            for i in 0..j {
+                                *edges.next().unwrap() = weight(g, i, j);
+                            }
+                        }
+                        assert!(edges.next().is_none(), "a run is exactly its columns");
+                    }
+                });
+                assert_eq!(graphs.len(), 3);
+                for (g, graph) in graphs.iter().enumerate() {
+                    assert_eq!(*graph, WeightedGraph::from_fn(n, |i, j| weight(g, i, j)));
+                }
             }
         }
     }

@@ -16,8 +16,19 @@
 //! explicit invalidation calls and stays bit-identical to a from-scratch
 //! computation. Callers get an `Arc` to the cached graph, never a copy: at
 //! 1,000 documents one graph is 4 MB, and training reads ten of them.
+//!
+//! The word-vector functions F8–F10 share one kernel. Their measures differ
+//! only in an O(1) [finish](WordVectorMeasure::finish) over a pair's dot
+//! product and the two vectors' cached moments, so a cold build sweeps the
+//! block column by column. Document `j`'s vector is scattered into a dense
+//! scratch indexed by block-local term slots, every `i < j` is gathered
+//! against it once, and the three values go to three graphs that enter the
+//! cache together. A streaming row is the same kernel for one column. Both
+//! equal [`PreparedBlock::pair_similarity`] bit for bit.
 
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -29,7 +40,7 @@ use weber_textindex::minhash::MinHasher;
 use weber_textindex::sparse::SparseVector;
 use weber_textindex::tfidf::TfIdf;
 
-use crate::functions::SimilarityFunction;
+use crate::functions::{word_vector_function, SimilarityFunction, WordVectorMeasure};
 use crate::string_sim::{char_bigrams_sorted, jaro_winkler};
 
 pub use weber_textindex::incremental::WordVectorScheme;
@@ -37,6 +48,23 @@ pub use weber_textindex::incremental::WordVectorScheme;
 /// Cache key: the function's unique name plus the prefilter threshold (as
 /// bits, so the key is hashable); `None` is the exact, unfiltered graph.
 type CacheKey = (&'static str, Option<u64>);
+
+/// The name `f`'s graph is cached under: its own, or for a word-vector
+/// measure the paper's function for that measure, so every function
+/// computing one measure shares one graph.
+fn cache_name(f: &dyn SimilarityFunction) -> &'static str {
+    f.word_vector_measure()
+        .map_or(f.name(), |m| word_vector_function(m).name())
+}
+
+/// A similarity value sanitised into `[0, 1]`, NaN ↦ 0.
+fn sanitise(v: f64) -> f64 {
+    if v.is_nan() {
+        0.0
+    } else {
+        v.clamp(0.0, 1.0)
+    }
+}
 
 /// Per-document features derived once at indexing time, so the name- and
 /// URL-based similarity functions (F2, F3, F6, F7) compare precomputed
@@ -91,6 +119,11 @@ fn derive_features(query_name: &str, features: &PageFeatures) -> DerivedFeatures
 /// resolver's metrics report) can share one instance across many blocks
 /// via [`PreparedBlock::set_cache_stats`] and read totals that survive
 /// block replacement or eviction.
+///
+/// Counts are per request. A word-vector request that misses builds the
+/// F8–F10 family in one sweep: that is one rebuild (and at most one
+/// invalidation), and it fills up to three entries, so the other members'
+/// next requests are hits.
 #[derive(Debug, Default)]
 pub struct CacheStats {
     hits: AtomicU64,
@@ -116,7 +149,8 @@ impl CacheStats {
         self.grows.load(Ordering::Relaxed)
     }
 
-    /// Requests that rebuilt the graph from scratch (cold or stale).
+    /// Requests that rebuilt the graph from scratch (cold or stale); a
+    /// word-vector family build counts once.
     pub fn rebuilds(&self) -> u64 {
         self.rebuilds.load(Ordering::Relaxed)
     }
@@ -147,6 +181,15 @@ struct CachedGraph {
 /// Blocks at or above this size use every available core to fill a
 /// similarity graph that cannot be grown row-by-row from the cache.
 const PARALLEL_BUILD_LEN: usize = 256;
+
+/// Worker threads for a from-scratch graph build over `n` documents.
+fn build_threads(n: usize) -> usize {
+    if n >= PARALLEL_BUILD_LEN {
+        std::thread::available_parallelism().map_or(1, |t| t.get())
+    } else {
+        1
+    }
+}
 
 /// A block of documents about one ambiguous person name, ready for
 /// similarity computation.
@@ -372,7 +415,8 @@ impl PreparedBlock {
     /// `[0, 1]` (NaN ↦ 0) and short-circuited to 0 by the optional MinHash
     /// `prefilter` for word-vector functions whose estimated shingle
     /// Jaccard falls below the threshold. This is the single definition of
-    /// a pairwise value; graphs, rows and model replay all route through it.
+    /// a pairwise value: graphs, rows and model replay all route through it
+    /// or, for F8–F10, through the sweep that equals it bit for bit.
     pub fn pair_similarity(
         &self,
         f: &dyn SimilarityFunction,
@@ -380,19 +424,18 @@ impl PreparedBlock {
         i: usize,
         j: usize,
     ) -> f64 {
-        if let Some(threshold) = prefilter {
-            if f.uses_word_vectors()
-                && MinHasher::estimated_jaccard(&self.minhash[i], &self.minhash[j]) < threshold
-            {
-                return 0.0;
-            }
+        if f.uses_word_vectors() && self.prefiltered(prefilter, i, j) {
+            return 0.0;
         }
-        let v = f.compare(self, i, j);
-        if v.is_nan() {
-            0.0
-        } else {
-            v.clamp(0.0, 1.0)
-        }
+        sanitise(f.compare(self, i, j))
+    }
+
+    /// True when the MinHash `prefilter` rules out word-vector pair
+    /// `(i, j)`: its estimated shingle Jaccard falls below the threshold.
+    fn prefiltered(&self, prefilter: Option<f64>, i: usize, j: usize) -> bool {
+        prefilter.is_some_and(|threshold| {
+            MinHasher::estimated_jaccard(&self.minhash[i], &self.minhash[j]) < threshold
+        })
     }
 
     /// The full pairwise similarity graph of `f` over the block, served
@@ -406,17 +449,22 @@ impl PreparedBlock {
     ///   functions always, and for word-vector functions when the vector
     ///   generation is unchanged — earlier pairs' values are immutable in
     ///   both cases);
-    /// - otherwise the graph is rebuilt from scratch, fanning row chunks
-    ///   across all cores for blocks of ≥ 256 documents.
+    /// - otherwise the graph is rebuilt from scratch, fanning column runs
+    ///   across all cores for blocks of ≥ 256 documents. A word-vector
+    ///   measure rebuilds the whole F8–F10 family in one sweep, unless
+    ///   another member is still current (one kept by
+    ///   [`retain_word_vector_graph`](Self::retain_word_vector_graph)); then
+    ///   only the requested graph is built.
     ///
     /// An entry that needs work is taken out of the map, so the lock is
     /// not held while pairs are scored and a grow extends the graph in
     /// place: it is copied first only if a caller still holds a handle to
     /// the shorter graph (which that caller keeps, unchanged). A stale
     /// entry is freed before its replacement is built. A second request
-    /// for the same key during that window finds no entry and rebuilds —
-    /// correct, and it does not happen: layer builds ask once per function
-    /// and a name's stream is serialised.
+    /// for a key that is out finds no entry and rebuilds — correct, but a
+    /// request for F9 while F8's sweep builds the family would build it
+    /// twice. Layer scoring therefore requests the family once before it
+    /// fans out over functions, and a name's stream is serialised.
     pub fn similarity_graph_with(
         &self,
         f: &dyn SimilarityFunction,
@@ -429,58 +477,85 @@ impl PreparedBlock {
             "word-vector graph requested after push_deferred without ensure_vectors"
         );
         let generation = word.then(|| self.store.generation());
-        let key: CacheKey = (f.name(), prefilter.map(f64::to_bits));
-        let taken = {
-            let mut cache = self.cache();
-            match cache.get(&key) {
-                Some(c) if c.generation == generation && c.graph.len() == n => {
-                    self.cache_stats.hits.fetch_add(1, Ordering::Relaxed);
-                    return Arc::clone(&c.graph);
-                }
-                _ => cache.remove(&key),
+        let current = |c: &CachedGraph| c.generation == generation && c.graph.len() == n;
+        let bits = prefilter.map(f64::to_bits);
+        let key: CacheKey = (cache_name(f), bits);
+        let mut cache = self.cache();
+        let taken = match cache.get(&key) {
+            Some(c) if current(c) => {
+                self.cache_stats.hits.fetch_add(1, Ordering::Relaxed);
+                return Arc::clone(&c.graph);
             }
+            _ => cache.remove(&key),
         };
-        let graph = match taken {
-            Some(c) if c.generation == generation && c.graph.len() < n => {
+        let built: Vec<(CacheKey, Arc<WeightedGraph>)> = match taken {
+            Some(c) if c.generation == generation => {
+                drop(cache);
                 self.cache_stats.grows.fetch_add(1, Ordering::Relaxed);
                 let mut graph = c.graph;
                 let g = Arc::make_mut(&mut graph);
-                let mut row = Vec::with_capacity(n - 1);
                 for j in g.len()..n {
-                    row.clear();
-                    row.extend((0..j).map(|i| self.pair_similarity(f, prefilter, i, j)));
-                    g.push_node(&row);
+                    g.push_node(&self.compute_row(f, prefilter, j));
                 }
-                graph
+                vec![(key, graph)]
             }
             stale => {
                 self.cache_stats.rebuilds.fetch_add(1, Ordering::Relaxed);
-                if stale.is_some() {
-                    // An entry existed but could not be used: its word
-                    // vectors were re-weighted since it was computed.
+                // An entry that existed but could not be used had its word
+                // vectors re-weighted since it was computed.
+                let mut invalidated = stale.is_some();
+                drop(stale);
+                let built = match f.word_vector_measure() {
+                    Some(measure) => {
+                        let family_key =
+                            |m: WordVectorMeasure| (word_vector_function(m).name(), bits);
+                        let measures = if WordVectorMeasure::ALL
+                            .iter()
+                            .any(|&m| cache.get(&family_key(m)).is_some_and(current))
+                        {
+                            vec![measure]
+                        } else {
+                            WordVectorMeasure::ALL.to_vec()
+                        };
+                        for &m in &measures {
+                            if let Some(c) = cache.remove(&family_key(m)) {
+                                invalidated |= c.generation != generation;
+                            }
+                        }
+                        drop(cache);
+                        let graphs =
+                            self.word_vector_graphs(&measures, prefilter, build_threads(n));
+                        measures
+                            .into_iter()
+                            .map(family_key)
+                            .zip(graphs.into_iter().map(Arc::new))
+                            .collect()
+                    }
+                    None => {
+                        drop(cache);
+                        let graph = WeightedGraph::from_fn_par(n, build_threads(n), |i, j| {
+                            self.pair_similarity(f, prefilter, i, j)
+                        });
+                        vec![(key, Arc::new(graph))]
+                    }
+                };
+                if invalidated {
                     self.cache_stats
                         .invalidations
                         .fetch_add(1, Ordering::Relaxed);
                 }
-                drop(stale);
-                let threads = if n >= PARALLEL_BUILD_LEN {
-                    std::thread::available_parallelism().map_or(1, |t| t.get())
-                } else {
-                    1
-                };
-                Arc::new(WeightedGraph::from_fn_par(n, threads, |i, j| {
-                    self.pair_similarity(f, prefilter, i, j)
-                }))
+                built
             }
         };
-        self.cache().insert(
-            key,
-            CachedGraph {
-                graph: Arc::clone(&graph),
-                generation,
-            },
-        );
-        graph
+        let mut cache = self.cache();
+        let mut requested = None;
+        for (k, graph) in built {
+            if k == key {
+                requested = Some(Arc::clone(&graph));
+            }
+            cache.insert(k, CachedGraph { graph, generation });
+        }
+        requested.expect("every path builds the requested graph")
     }
 
     /// The similarity row of document `doc` against documents `0..doc`
@@ -489,10 +564,10 @@ impl PreparedBlock {
     ///
     /// For feature functions the row is read from the cached graph (growing
     /// it in place on the way, so the work is reused by the next
-    /// checkpoint). For word-vector functions the row is computed directly:
-    /// their cached graphs go stale on almost every push, and caching a row
-    /// that the next arrival invalidates would just add a full-matrix
-    /// rebuild per ingest.
+    /// checkpoint). For word-vector functions the row is computed directly
+    /// — for F8–F10 as one column of the sweep: their cached graphs go
+    /// stale on almost every push, and caching a row that the next arrival
+    /// invalidates would just add a full-matrix rebuild per ingest.
     pub fn similarity_row_with(
         &self,
         f: &dyn SimilarityFunction,
@@ -500,13 +575,79 @@ impl PreparedBlock {
         doc: usize,
     ) -> Vec<f64> {
         if f.uses_word_vectors() {
-            (0..doc)
-                .map(|i| self.pair_similarity(f, prefilter, i, doc))
-                .collect()
+            self.compute_row(f, prefilter, doc)
         } else {
             self.similarity_graph_with(f, prefilter)
                 .column(doc)
                 .to_vec()
+        }
+    }
+
+    /// Column `doc` of `f`'s graph, computed afresh: one column of the
+    /// word-vector sweep for F8–F10, one `pair_similarity` per member
+    /// otherwise.
+    fn compute_row(
+        &self,
+        f: &dyn SimilarityFunction,
+        prefilter: Option<f64>,
+        doc: usize,
+    ) -> Vec<f64> {
+        match f.word_vector_measure() {
+            Some(m) => {
+                let mut row = vec![0.0; doc];
+                self.word_vector_columns(&[m], prefilter, doc..doc + 1, &mut [&mut row[..]]);
+                row
+            }
+            None => (0..doc)
+                .map(|i| self.pair_similarity(f, prefilter, i, doc))
+                .collect(),
+        }
+    }
+
+    /// The graphs of `measures` over the whole block, in one column sweep
+    /// split into `threads` runs.
+    fn word_vector_graphs(
+        &self,
+        measures: &[WordVectorMeasure],
+        prefilter: Option<f64>,
+        threads: usize,
+    ) -> Vec<WeightedGraph> {
+        WeightedGraph::from_column_runs(self.len(), measures.len(), threads, |columns, runs| {
+            self.word_vector_columns(measures, prefilter, columns, runs)
+        })
+    }
+
+    /// Columns `columns` of the graphs of `measures`, written into `runs`
+    /// (one colex run per measure). Each column scatters its document's
+    /// vector once; each pair is one gather plus one finish per measure.
+    /// The values are `pair_similarity`'s bit for bit: the gather adds the
+    /// same products in the same order as the merge join
+    /// ([`SparseVector::gather`]), and the finish is the measure's one
+    /// formula.
+    fn word_vector_columns(
+        &self,
+        measures: &[WordVectorMeasure],
+        prefilter: Option<f64>,
+        columns: Range<usize>,
+        runs: &mut [&mut [f64]],
+    ) {
+        let slots: Vec<Cow<'_, [u32]>> = (0..columns.end)
+            .map(|doc| self.store.vector_slots(doc))
+            .collect();
+        let mut scratch = vec![0.0; self.store.slot_count()];
+        let mut k = 0;
+        for j in columns {
+            let b = self.tfidf(j);
+            b.scatter(&slots[j], &mut scratch);
+            for (i, a_slots) in slots[..j].iter().enumerate() {
+                let a = self.tfidf(i);
+                let dot = (!self.prefiltered(prefilter, i, j)).then(|| a.gather(a_slots, &scratch));
+                for (m, run) in measures.iter().zip(runs.iter_mut()) {
+                    run[k] = dot.map_or(0.0, |dot| sanitise(m.finish(dot, a, b, self.vocab_dim)));
+                }
+                k += 1;
+            }
+            b.unscatter(&slots[j], &mut scratch);
         }
     }
 
@@ -528,6 +669,7 @@ mod tests {
     use crate::functions::{standard_suite, NearDuplicateSimilarity, TfIdfCosine};
     use weber_extract::gazetteer::{EntityKind, Gazetteer};
     use weber_extract::pipeline::Extractor;
+    use weber_textindex::tfidf::{IdfScheme, TfScheme};
 
     fn extractor() -> Extractor {
         let mut g = Gazetteer::new();
@@ -744,14 +886,22 @@ mod tests {
         b.similarity_graph_with(&f, None);
         assert_eq!(stats.grows(), 1);
         assert_eq!(stats.rebuilds(), 1);
-        // Word-vector function: build once, then push (vectors re-weight)
-        // and rebuild — the stale entry counts as an invalidation.
-        let wv = TfIdfCosine;
-        b.similarity_graph_with(&wv, None);
+        // Word-vector function: one rebuild builds the F8–F10 family, so
+        // F9 and F10 are hits.
+        let family = WordVectorMeasure::ALL.map(word_vector_function);
+        b.similarity_graph_with(family[0], None);
         assert_eq!(stats.rebuilds(), 2);
+        b.similarity_graph_with(family[1], None);
+        b.similarity_graph_with(family[2], None);
+        assert_eq!((stats.hits(), stats.rebuilds()), (3, 2));
+        // Push (vectors re-weight) and rebuild: three stale entries are
+        // discarded by one family build, which counts one invalidation.
         b.push(e.extract(TEXTS[4], None));
-        b.similarity_graph_with(&wv, None);
-        assert_eq!(stats.invalidations(), 1);
+        b.similarity_graph_with(family[1], None);
+        assert_eq!((stats.rebuilds(), stats.invalidations()), (3, 1));
+        b.similarity_graph_with(family[0], None);
+        b.similarity_graph_with(family[2], None);
+        assert_eq!((stats.hits(), stats.rebuilds()), (5, 3));
         assert_eq!(stats.misses(), stats.grows() + stats.rebuilds());
     }
 
@@ -821,15 +971,22 @@ mod tests {
             b.similarity_graph_with(f.as_ref(), None);
         }
         let stats = b.cache_stats();
-        assert_eq!((stats.rebuilds(), stats.hits()), (10, 0));
+        // Seven feature graphs and one F8–F10 family build; F9 and F10 hit.
+        assert_eq!((stats.rebuilds(), stats.hits()), (8, 2));
+        let kept = b.similarity_graph_with(&TfIdfCosine, None);
         b.retain_word_vector_graph("F8");
         for f in standard_suite() {
             let (rebuilds, hits) = (stats.rebuilds(), stats.hits());
-            b.similarity_graph_with(f.as_ref(), None);
+            let graph = b.similarity_graph_with(f.as_ref(), None);
             if f.uses_word_vectors() && f.name() != "F8" {
+                // F8 is still current, so each dropped member is rebuilt
+                // alone when asked for.
                 assert_eq!(stats.rebuilds(), rebuilds + 1, "{} was dropped", f.name());
             } else {
                 assert_eq!(stats.hits(), hits + 1, "{} was kept", f.name());
+            }
+            if f.name() == "F8" {
+                assert!(Arc::ptr_eq(&graph, &kept));
             }
         }
         // A dropped entry is a cold build, not a discarded stale one.
@@ -876,5 +1033,157 @@ mod tests {
             b.pair_similarity(&nd, Some(0.5), 0, 2),
             b.pair_similarity(&nd, None, 0, 2)
         );
+    }
+
+    fn assert_bitwise(got: &WeightedGraph, want: &WeightedGraph, what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (k, (g, w)) in got
+            .weight_values()
+            .iter()
+            .zip(want.weight_values())
+            .enumerate()
+        {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: edge {k}: {g} vs {w}");
+        }
+    }
+
+    /// Every sweep-built F8–F10 graph of `b` equals the pair-by-pair graph,
+    /// bit for bit, for every prefilter, every thread split, and through
+    /// the cache.
+    fn assert_sweep_matches_pairs(b: &PreparedBlock, what: &str) {
+        for prefilter in [None, Some(0.0), Some(0.5)] {
+            let pairwise: Vec<WeightedGraph> = WordVectorMeasure::ALL
+                .iter()
+                .map(|&m| {
+                    WeightedGraph::from_fn(b.len(), |i, j| {
+                        b.pair_similarity(word_vector_function(m), prefilter, i, j)
+                    })
+                })
+                .collect();
+            for threads in [1, 3] {
+                let swept = b.word_vector_graphs(&WordVectorMeasure::ALL, prefilter, threads);
+                for ((m, got), want) in WordVectorMeasure::ALL.iter().zip(&swept).zip(&pairwise) {
+                    assert_bitwise(
+                        got,
+                        want,
+                        &format!("{what} {m:?} {prefilter:?} threads={threads}"),
+                    );
+                }
+            }
+            for (&m, want) in WordVectorMeasure::ALL.iter().zip(&pairwise) {
+                let cached = b.similarity_graph_with(word_vector_function(m), prefilter);
+                assert_bitwise(&cached, want, &format!("{what} {m:?} {prefilter:?} cached"));
+            }
+        }
+    }
+
+    /// TEXTS plus pages with no words, which give empty vectors.
+    const SWEEP_TEXTS: &[&str] = &[
+        "databases are fun",
+        "the the the",
+        "databases are hard and databases are fun",
+        "gardening tips",
+        "",
+        "fun databases for gardening, fun gardening for databases",
+        "hard tips about databases",
+        "tips tips tips gardening",
+    ];
+
+    #[test]
+    fn word_vector_sweep_is_bit_identical_for_every_scheme() {
+        let mut schemes = vec![WordVectorScheme::bm25()];
+        for tf in [
+            TfScheme::Raw,
+            TfScheme::Log,
+            TfScheme::MaxNormalized,
+            TfScheme::Binary,
+        ] {
+            for idf in [
+                IdfScheme::None,
+                IdfScheme::Plain,
+                IdfScheme::Smooth,
+                IdfScheme::Probabilistic,
+            ] {
+                schemes.push(WordVectorScheme::TfIdf(TfIdf::new(tf, idf)));
+            }
+        }
+        let e = extractor();
+        for scheme in schemes {
+            let features = SWEEP_TEXTS.iter().map(|t| e.extract(t, None)).collect();
+            let b = PreparedBlock::with_scheme("cohen", features, scheme);
+            assert!((0..b.len()).any(|i| b.tfidf(i).is_empty()));
+            assert_sweep_matches_pairs(&b, &format!("{scheme:?}"));
+        }
+    }
+
+    /// A block of `n` pages drawn from a small vocabulary with a fixed
+    /// linear congruential generator, every 17th page empty.
+    fn synthetic_block(n: usize) -> PreparedBlock {
+        const WORDS: &[&str] = &[
+            "databases",
+            "gardening",
+            "roses",
+            "query",
+            "index",
+            "pruning",
+            "soil",
+            "join",
+            "transaction",
+            "compost",
+            "schema",
+            "seeds",
+            "tuning",
+            "bloom",
+            "cache",
+            "water",
+            "lock",
+            "spring",
+            "replica",
+            "weeds",
+        ];
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = |bound: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 33) as usize % bound
+        };
+        let e = extractor();
+        let features = (0..n)
+            .map(|doc| {
+                let len = if doc % 17 == 0 { 0 } else { 3 + next(12) };
+                let text: Vec<&str> = (0..len).map(|_| WORDS[next(WORDS.len())]).collect();
+                e.extract(&text.join(" "), None)
+            })
+            .collect();
+        PreparedBlock::new("cohen", features, TfIdf::default())
+    }
+
+    #[test]
+    fn word_vector_sweep_is_bit_identical_on_a_parallel_sized_block() {
+        let b = synthetic_block(PARALLEL_BUILD_LEN + 44);
+        assert_sweep_matches_pairs(&b, "parallel-sized block");
+    }
+
+    #[test]
+    fn streamed_word_vector_rows_equal_the_graph_columns_bitwise() {
+        let e = extractor();
+        let mut b = PreparedBlock::empty("cohen", WordVectorScheme::default());
+        for t in SWEEP_TEXTS.iter().chain(TEXTS) {
+            let doc = b.push(e.extract(t, None));
+            for m in WordVectorMeasure::ALL {
+                let f = word_vector_function(m);
+                for prefilter in [None, Some(0.5)] {
+                    let row = b.similarity_row_with(f, prefilter, doc);
+                    let graph = b.similarity_graph_with(f, prefilter);
+                    assert_eq!(row.len(), doc);
+                    for (i, (&r, &g)) in row.iter().zip(graph.column(doc)).enumerate() {
+                        let pair = b.pair_similarity(f, prefilter, i, doc);
+                        assert_eq!(r.to_bits(), g.to_bits(), "{m:?} ({i}, {doc})");
+                        assert_eq!(r.to_bits(), pair.to_bits(), "{m:?} ({i}, {doc})");
+                    }
+                }
+            }
+        }
     }
 }

@@ -24,6 +24,8 @@ use crate::name_sim::name_similarity;
 use crate::set_sim::overlap_coefficient;
 use crate::string_sim::{dice_sorted_bigrams, jaro_winkler};
 
+pub use weber_textindex::sparse::WordVectorMeasure;
+
 /// Identifier of a similarity function in the paper's numbering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum FunctionId {
@@ -118,12 +120,50 @@ pub trait SimilarityFunction: Send + Sync {
     /// ([`PreparedBlock::tfidf`] / [`PreparedBlock::vocab_dim`]), whose
     /// values shift as the block grows and idf weights move. Functions over
     /// per-document features (names, URLs, entity sets, MinHash signatures)
-    /// return the default `false`: their pairwise values are immutable once
-    /// both documents exist, which lets cached similarity rows be reused
+    /// return `false`: their pairwise values are immutable once both
+    /// documents exist, which lets cached similarity rows be reused
     /// verbatim as a streaming block grows. Only return `false` if every
     /// input of `compare` is immutable after the documents are pushed.
+    /// Defaults to whether the function has a
+    /// [`word_vector_measure`](Self::word_vector_measure).
     fn uses_word_vectors(&self) -> bool {
-        false
+        self.word_vector_measure().is_some()
+    }
+
+    /// The word-vector measure [`compare`](Self::compare) computes over the
+    /// block's TF-IDF vectors, if it is one of them: F8, F9 and F10 return
+    /// theirs, everything else the default `None`.
+    ///
+    /// `Some(m)` promises that `compare(block, i, j)` equals
+    /// `m.finish(a.dot(b), a, b, block.vocab_dim())` for `a` and `b` the two
+    /// documents' [`tfidf`](PreparedBlock::tfidf) vectors, bit for bit. The
+    /// block then computes the function's graphs and streaming rows with
+    /// its scatter/gather sweep instead of calling `compare`, builds the
+    /// three measures' graphs in one pass, and caches each under the
+    /// paper's function for that measure (F8, F9 or F10).
+    fn word_vector_measure(&self) -> Option<WordVectorMeasure> {
+        None
+    }
+}
+
+/// The paper's function for word-vector measure `m`: F8, F9 or F10.
+pub(crate) fn word_vector_function(m: WordVectorMeasure) -> &'static dyn SimilarityFunction {
+    match m {
+        WordVectorMeasure::Cosine => &TfIdfCosine,
+        WordVectorMeasure::Pearson => &TfIdfPearson,
+        WordVectorMeasure::ExtendedJaccard => &TfIdfExtendedJaccard,
+    }
+}
+
+/// Jaro–Winkler of two lowercased person names, answered without its three
+/// allocations when the names are equal. Equal names score exactly 1.0 on
+/// the full path too: `jaro(a, a)` is `(1 + 1 + 1) / 3` and the Winkler
+/// bonus is scaled by `1 − 1 = 0`.
+fn name_string_similarity(a: &str, b: &str) -> f64 {
+    if a == b {
+        1.0
+    } else {
+        jaro_winkler(a, b)
     }
 }
 
@@ -206,7 +246,7 @@ impl SimilarityFunction for MostFrequentNameSimilarity {
             &block.derived(i).most_frequent_person_lower,
             &block.derived(j).most_frequent_person_lower,
         ) {
-            (Some(a), Some(b)) => jaro_winkler(a, b),
+            (Some(a), Some(b)) => name_string_similarity(a, b),
             _ => 0.0,
         }
     }
@@ -298,7 +338,7 @@ impl SimilarityFunction for ClosestNameSimilarity {
             &block.derived(i).closest_person_lower,
             &block.derived(j).closest_person_lower,
         ) {
-            (Some(a), Some(b)) => jaro_winkler(a, b),
+            (Some(a), Some(b)) => name_string_similarity(a, b),
             _ => 0.0,
         }
     }
@@ -327,8 +367,8 @@ impl SimilarityFunction for TfIdfCosine {
         f64::from(u8::from(!block.tfidf(doc).is_empty()))
     }
 
-    fn uses_word_vectors(&self) -> bool {
-        true
+    fn word_vector_measure(&self) -> Option<WordVectorMeasure> {
+        Some(WordVectorMeasure::Cosine)
     }
 }
 
@@ -344,19 +384,17 @@ impl SimilarityFunction for TfIdfPearson {
         "TF-IDF words vector / Pearson correlation similarity"
     }
     fn compare(&self, block: &PreparedBlock, i: usize, j: usize) -> f64 {
-        let (a, b) = (block.tfidf(i), block.tfidf(j));
-        if a.is_empty() || b.is_empty() {
-            return 0.0;
-        }
-        a.pearson(b, block.vocab_dim())
+        // An empty vector has zero variance, so this is 0 when either page
+        // has no words.
+        block.tfidf(i).pearson(block.tfidf(j), block.vocab_dim())
     }
 
     fn feature_presence(&self, block: &PreparedBlock, doc: usize) -> f64 {
         f64::from(u8::from(!block.tfidf(doc).is_empty()))
     }
 
-    fn uses_word_vectors(&self) -> bool {
-        true
+    fn word_vector_measure(&self) -> Option<WordVectorMeasure> {
+        Some(WordVectorMeasure::Pearson)
     }
 }
 
@@ -379,8 +417,8 @@ impl SimilarityFunction for TfIdfExtendedJaccard {
         f64::from(u8::from(!block.tfidf(doc).is_empty()))
     }
 
-    fn uses_word_vectors(&self) -> bool {
-        true
+    fn word_vector_measure(&self) -> Option<WordVectorMeasure> {
+        Some(WordVectorMeasure::ExtendedJaccard)
     }
 }
 
@@ -709,6 +747,13 @@ mod tests {
         }
         assert!(!StructuredNameSimilarity.uses_word_vectors());
         assert!(!NearDuplicateSimilarity.uses_word_vectors());
+    }
+
+    #[test]
+    fn word_vector_functions_name_their_measures() {
+        for m in WordVectorMeasure::ALL {
+            assert_eq!(word_vector_function(m).word_vector_measure(), Some(m));
+        }
     }
 
     #[test]

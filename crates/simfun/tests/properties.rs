@@ -58,6 +58,14 @@ proptest! {
         prop_assert_eq!(ngram_dice(&a, &a, 2), 1.0);
     }
 
+    /// F3 and F7 answer equal names with 1.0 without running Jaro–Winkler;
+    /// this is the value the full computation gives, to the bit.
+    #[test]
+    fn jaro_winkler_of_a_string_with_itself_is_exactly_one(a in ".{0,24}") {
+        prop_assert_eq!(jaro_winkler(&a, &a).to_bits(), 1.0f64.to_bits());
+        prop_assert_eq!(jaro_winkler("", "").to_bits(), 1.0f64.to_bits());
+    }
+
     #[test]
     fn jaro_winkler_dominates_jaro(a in "[a-f]{0,10}", b in "[a-f]{0,10}") {
         prop_assert!(jaro_winkler(&a, &b) >= jaro(&a, &b) - 1e-12);

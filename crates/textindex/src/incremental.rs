@@ -5,21 +5,27 @@
 //! where the tf part depends only on `d` itself (fixed once the document is
 //! indexed) and the idf factor depends only on the corpus-wide `(df, N)`
 //! statistics. [`VectorStore`] exploits that split: it caches each
-//! document's tf-part *pattern* forever, keeps the idf factor table from
-//! the last sync, and on [`sync`](VectorStore::sync) refreshes only the
-//! vectors whose terms' idf factors actually changed — in place, via
+//! document's tf parts forever, keeps the idf factor table from the last
+//! sync, and on [`sync`](VectorStore::sync) refreshes only the vectors
+//! whose terms' idf factors actually changed — in place, via
 //! [`SparseVector::refill`]. The refreshed weights are the *same f64
 //! products* a from-scratch [`CorpusIndex::tfidf_vectors`] build computes,
 //! so incremental and batch materialisation are bit-identical, not merely
 //! close.
+//!
+//! Every term gets a dense block-local *slot* the first time a document
+//! carrying it is synced. The idf table is indexed by slot, so a refresh
+//! does no hashing, and [`vector_slots`](VectorStore::vector_slots) hands
+//! the scatter/gather kernel ([`SparseVector::scatter`] /
+//! [`SparseVector::gather`]) a scratch address for every vector entry.
 //!
 //! The store also exposes a monotone [`generation`](VectorStore::generation)
 //! counter that advances exactly when some *existing* vector changed value.
 //! Downstream caches (per-function similarity graphs) key on it to decide
 //! whether previously computed pairwise values are still valid.
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::borrow::Cow;
+use std::collections::HashMap;
 
 use crate::index::CorpusIndex;
 use crate::sparse::SparseVector;
@@ -60,15 +66,33 @@ impl WordVectorScheme {
 #[derive(Debug, Default)]
 pub struct VectorStore {
     scheme: WordVectorScheme,
-    /// Per document: sorted `(term, tf-part)` pairs, computed once when the
-    /// document first appears (TF-IDF schemes; unused under BM25).
-    patterns: Vec<Vec<(TermId, f64)>>,
+    /// Per document: the slot of each of its terms, in term order.
+    slots: Vec<Vec<u32>>,
+    /// Per document: the tf part of each term, aligned with `slots`,
+    /// computed once when the document first appears (TF-IDF schemes;
+    /// empty under BM25).
+    tf_parts: Vec<Vec<f64>>,
+    /// Per slot: its term and its idf factor as of the last sync (the
+    /// factor is unused under BM25).
+    slot_terms: Vec<(TermId, f64)>,
+    /// The slot of every term seen, assigned on first sight.
+    slot_of: HashMap<TermId, u32>,
     /// Materialised vectors, aligned with the index's documents.
     vectors: Vec<SparseVector>,
-    /// The idf factor per term as of the last sync.
-    idf: HashMap<TermId, f64>,
     /// Advances exactly when a sync changes an already-materialised vector.
     generation: u64,
+}
+
+/// A document's weights, `tf part · idf factor` per term, in term order.
+fn weights<'a>(
+    slots: &'a [u32],
+    tf_parts: &'a [f64],
+    slot_terms: &'a [(TermId, f64)],
+) -> impl Iterator<Item = (TermId, f64)> + 'a {
+    slots.iter().zip(tf_parts).map(|(&slot, &tf)| {
+        let (term, idf) = slot_terms[slot as usize];
+        (term, tf * idf)
+    })
 }
 
 impl VectorStore {
@@ -76,10 +100,7 @@ impl VectorStore {
     pub fn new(scheme: WordVectorScheme) -> Self {
         Self {
             scheme,
-            patterns: Vec::new(),
-            vectors: Vec::new(),
-            idf: HashMap::new(),
-            generation: 0,
+            ..Self::default()
         }
     }
 
@@ -108,6 +129,32 @@ impl VectorStore {
         &self.vectors
     }
 
+    /// Number of term slots: one per distinct term synced, so a dense
+    /// scratch this long addresses every term of every vector.
+    pub fn slot_count(&self) -> usize {
+        self.slot_terms.len()
+    }
+
+    /// The slot of each entry of document `i`'s vector, aligned with
+    /// [`SparseVector::entries`]: what [`SparseVector::scatter`] and
+    /// [`SparseVector::gather`] take. Borrowed, unless the vector dropped a
+    /// term whose weight is 0 (an idf factor of 0, which `Plain` and
+    /// `Probabilistic` idf give a term in most documents).
+    pub fn vector_slots(&self, i: usize) -> Cow<'_, [u32]> {
+        let (entries, slots) = (self.vectors[i].entries(), &self.slots[i]);
+        if entries.len() == slots.len() {
+            return Cow::Borrowed(slots);
+        }
+        let mut kept = entries.iter().map(|&(term, _)| term).peekable();
+        Cow::Owned(
+            slots
+                .iter()
+                .copied()
+                .filter(|&slot| kept.next_if_eq(&self.slot_terms[slot as usize].0).is_some())
+                .collect(),
+        )
+    }
+
     /// A counter that advances exactly when a sync changed the value of an
     /// already-materialised vector. Appending documents whose terms leave
     /// every existing idf factor untouched (e.g. under
@@ -126,12 +173,25 @@ impl VectorStore {
             index.len() >= self.vectors.len(),
             "index shrank under the store"
         );
+        let old_len = self.vectors.len();
+        let old_slots = self.slot_terms.len();
+        for doc in old_len..index.len() {
+            let (counts, max_tf) = index.doc_counts(doc);
+            let slots = counts.iter().map(|&(term, _)| self.slot(term)).collect();
+            self.slots.push(slots);
+            self.tf_parts.push(match self.scheme {
+                WordVectorScheme::TfIdf(t) => counts
+                    .iter()
+                    .map(|&(_, tf)| t.tf_weight(tf, max_tf))
+                    .collect(),
+                WordVectorScheme::Bm25 { .. } => Vec::new(),
+            });
+        }
         match self.scheme {
-            WordVectorScheme::TfIdf(t) => self.sync_tfidf(index, t),
+            WordVectorScheme::TfIdf(t) => self.sync_tfidf(index, t, old_len, old_slots),
             WordVectorScheme::Bm25 { k1, b } => {
                 // BM25 weights depend on avgdl and N in a non-separable way;
                 // fall back to a full rebuild.
-                let old_len = self.vectors.len();
                 self.vectors = index.bm25_vectors(k1, b);
                 if old_len > 0 && index.len() > old_len {
                     self.generation += 1;
@@ -140,50 +200,45 @@ impl VectorStore {
         }
     }
 
-    fn sync_tfidf(&mut self, index: &CorpusIndex, t: TfIdf) {
-        let old_len = self.vectors.len();
-        // Cache the tf-part pattern of each new document once.
-        for doc in old_len..index.len() {
-            let (counts, max_tf) = index.doc_counts(doc);
-            self.patterns.push(
-                counts
-                    .iter()
-                    .map(|&(term, tf)| (term, t.tf_weight(tf, max_tf)))
-                    .collect(),
-            );
-        }
+    /// The slot of `term`, assigning the next one on first sight.
+    fn slot(&mut self, term: TermId) -> u32 {
+        let next = u32::try_from(self.slot_terms.len()).expect("fewer than 2^32 terms in a block");
+        *self.slot_of.entry(term).or_insert_with(|| {
+            self.slot_terms.push((term, 0.0));
+            next
+        })
+    }
+
+    fn sync_tfidf(&mut self, index: &CorpusIndex, t: TfIdf, old_len: usize, old_slots: usize) {
         // Refresh the idf factor table, recording which factors changed.
         // Terms seen for the first time cannot occur in older documents, so
-        // they are inserted without being marked dirty.
+        // their slots are never marked dirty.
         let n_docs = index.len() as u32;
-        let cached_before = self.idf.len();
-        let mut dirty: HashSet<TermId> = HashSet::new();
-        for (&term, &df) in index.df_table() {
+        let mut dirty = vec![false; old_slots];
+        let mut dirty_count = 0usize;
+        for (term, &df) in index.df_table() {
+            let slot = self.slot_of[term] as usize;
             let factor = t.idf_weight(df, n_docs);
-            match self.idf.entry(term) {
-                Entry::Occupied(mut e) => {
-                    if *e.get() != factor {
-                        e.insert(factor);
-                        dirty.insert(term);
-                    }
-                }
-                Entry::Vacant(e) => {
-                    e.insert(factor);
+            let cached = &mut self.slot_terms[slot].1;
+            if *cached != factor {
+                *cached = factor;
+                if slot < old_slots {
+                    dirty[slot] = true;
+                    dirty_count += 1;
                 }
             }
         }
-        let all_dirty = cached_before > 0 && dirty.len() == cached_before;
+        let all_dirty = old_slots > 0 && dirty_count == old_slots;
         // Refill existing vectors that carry a dirty term; the tf parts are
         // strictly positive, so a changed factor always changes the weight.
         let mut changed_existing = false;
         for doc in 0..old_len {
-            let pattern = &self.patterns[doc];
-            if pattern.is_empty() {
+            let slots = &self.slots[doc];
+            if slots.is_empty() {
                 continue;
             }
-            if all_dirty || pattern.iter().any(|&(term, _)| dirty.contains(&term)) {
-                let idf = &self.idf;
-                self.vectors[doc].refill(pattern.iter().map(|&(term, w)| (term, w * idf[&term])));
+            if all_dirty || slots.iter().any(|&slot| dirty[slot as usize]) {
+                self.vectors[doc].refill(weights(slots, &self.tf_parts[doc], &self.slot_terms));
                 changed_existing = true;
             }
         }
@@ -191,14 +246,9 @@ impl VectorStore {
             self.generation += 1;
         }
         // Materialise vectors for the new documents.
-        for pattern in &self.patterns[old_len..] {
-            let idf = &self.idf;
-            self.vectors.push(
-                pattern
-                    .iter()
-                    .map(|&(term, w)| (term, w * idf[&term]))
-                    .collect(),
-            );
+        for doc in old_len..index.len() {
+            self.vectors
+                .push(weights(&self.slots[doc], &self.tf_parts[doc], &self.slot_terms).collect());
         }
     }
 }
@@ -319,6 +369,33 @@ mod tests {
         assert_eq!(store.vectors(), index.tfidf_vectors(scheme).as_slice());
         let shared = analyzer.vocabulary().get("shared").unwrap();
         assert_eq!(store.vector(0).get(shared), 0.0);
+    }
+
+    #[test]
+    fn vector_slots_address_every_entry_for_every_scheme() {
+        let mut schemes: Vec<WordVectorScheme> = all_tfidf_schemes()
+            .into_iter()
+            .map(WordVectorScheme::TfIdf)
+            .collect();
+        schemes.push(WordVectorScheme::bm25());
+        for scheme in schemes {
+            let analyzer = Analyzer::english();
+            let mut index = CorpusIndex::new();
+            let mut store = VectorStore::new(scheme);
+            for text in TEXTS {
+                index.add_document(&analyzer.analyze(text));
+                store.sync(&index);
+            }
+            assert_eq!(store.slot_count(), index.vocabulary_size());
+            for i in 0..store.len() {
+                let slots = store.vector_slots(i);
+                let entries = store.vector(i).entries();
+                assert_eq!(slots.len(), entries.len(), "{scheme:?} doc {i}");
+                for (&slot, &(term, _)) in slots.iter().zip(entries) {
+                    assert_eq!(store.slot_terms[slot as usize].0, term, "{scheme:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub use analyzer::Analyzer;
 pub use incremental::{VectorStore, WordVectorScheme};
 pub use index::{CorpusIndex, DocId};
 pub use minhash::{near_duplicates, MinHasher};
-pub use sparse::SparseVector;
+pub use sparse::{SparseVector, WordVectorMeasure};
 pub use stem::porter_stem;
 pub use stopwords::is_stopword;
 pub use tfidf::{IdfScheme, TfIdf, TfScheme};

@@ -3,7 +3,18 @@
 //! extended Jaccard / Tanimoto (F10).
 //!
 //! Entries are kept sorted by term id so that dot products and merges are
-//! linear-time merge joins with no allocation.
+//! linear-time merge joins with no allocation. Each vector also keeps the
+//! sum and the sum of squares of its weights, accumulated in entry order as
+//! the weights are written, so a measure costs one dot product plus an O(1)
+//! [`finish`](WordVectorMeasure::finish).
+//!
+//! A block that compares many vectors against one another computes the dot
+//! product by scatter/gather instead of a merge: one vector is
+//! [`scatter`](SparseVector::scatter)ed into a dense scratch indexed by
+//! block-local term slots, and every other vector is
+//! [`gather`](SparseVector::gather)ed against it. The gather adds the same
+//! products in the same term order as [`dot`](SparseVector::dot), so the two
+//! are equal bit for bit.
 
 use crate::vocab::TermId;
 
@@ -11,6 +22,75 @@ use crate::vocab::TermId;
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SparseVector {
     entries: Vec<(TermId, f64)>,
+    /// Σw over `entries`, added in entry order.
+    sum: f64,
+    /// Σw² over `entries`, added in entry order.
+    sumsq: f64,
+}
+
+/// The word-vector measures of the paper's F8, F9 and F10. Each is a
+/// function of the pair's dot product and of the two vectors' cached
+/// moments, so one dot product serves all three.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum WordVectorMeasure {
+    /// Cosine similarity (F8); see [`SparseVector::cosine`].
+    Cosine,
+    /// Pearson correlation rescaled to `[0, 1]` (F9); see
+    /// [`SparseVector::pearson`].
+    Pearson,
+    /// Extended Jaccard / Tanimoto similarity (F10); see
+    /// [`SparseVector::extended_jaccard`].
+    ExtendedJaccard,
+}
+
+impl WordVectorMeasure {
+    /// All three measures, in the paper's order.
+    pub const ALL: [WordVectorMeasure; 3] = [
+        WordVectorMeasure::Cosine,
+        WordVectorMeasure::Pearson,
+        WordVectorMeasure::ExtendedJaccard,
+    ];
+
+    /// The measure's value for vectors `a` and `b` whose dot product is
+    /// `dot`, in a `dim`-dimensional space (only Pearson reads `dim`). This
+    /// is the one definition of each formula: the pairwise methods call it
+    /// after their merge join, and a block's scatter/gather sweep after its
+    /// gather.
+    pub fn finish(self, dot: f64, a: &SparseVector, b: &SparseVector, dim: usize) -> f64 {
+        match self {
+            WordVectorMeasure::Cosine => {
+                let denom = a.norm() * b.norm();
+                if denom == 0.0 {
+                    return 0.0;
+                }
+                (dot / denom).clamp(0.0, 1.0)
+            }
+            WordVectorMeasure::Pearson => {
+                if dim == 0 {
+                    return 0.0;
+                }
+                let n = dim as f64;
+                let (sa, sb) = (a.sum, b.sum);
+                // sum((a_i - ma)(b_i - mb)) = dot(a,b) - ma*sb - mb*sa + n*ma*mb
+                //                           = dot(a,b) - sa*sb/n.
+                let cov = dot - sa * sb / n;
+                let var_a = a.sumsq - sa * sa / n;
+                let var_b = b.sumsq - sb * sb / n;
+                if var_a <= 0.0 || var_b <= 0.0 {
+                    return 0.0;
+                }
+                let r = (cov / (var_a.sqrt() * var_b.sqrt())).clamp(-1.0, 1.0);
+                (r + 1.0) / 2.0
+            }
+            WordVectorMeasure::ExtendedJaccard => {
+                let denom = a.norm().powi(2) + b.norm().powi(2) - dot;
+                if denom <= 0.0 {
+                    return 0.0;
+                }
+                (dot / denom).clamp(0.0, 1.0)
+            }
+        }
+    }
 }
 
 impl SparseVector {
@@ -30,8 +110,20 @@ impl SparseVector {
                 _ => entries.push((id, w)),
             }
         }
-        entries.retain(|&(_, w)| w != 0.0);
-        Self { entries }
+        let (mut sum, mut sumsq) = (0.0, 0.0);
+        entries.retain(|&(_, w)| {
+            if w == 0.0 {
+                return false;
+            }
+            sum += w;
+            sumsq += w * w;
+            true
+        });
+        Self {
+            entries,
+            sum,
+            sumsq,
+        }
     }
 
     /// Replace this vector's contents from already-sorted, deduplicated
@@ -40,8 +132,15 @@ impl SparseVector {
     /// in-place refresh stays indistinguishable from a fresh build.
     pub fn refill(&mut self, pairs: impl IntoIterator<Item = (TermId, f64)>) {
         self.entries.clear();
-        self.entries
-            .extend(pairs.into_iter().filter(|&(_, w)| w != 0.0));
+        let (mut sum, mut sumsq) = (0.0, 0.0);
+        for (id, w) in pairs {
+            if w != 0.0 {
+                sum += w;
+                sumsq += w * w;
+                self.entries.push((id, w));
+            }
+        }
+        (self.sum, self.sumsq) = (sum, sumsq);
         debug_assert!(
             self.entries.windows(2).all(|w| w[0].0 < w[1].0),
             "refill requires sorted, deduplicated term ids"
@@ -83,12 +182,12 @@ impl SparseVector {
 
     /// Sum of all weights.
     pub fn sum(&self) -> f64 {
-        self.entries.iter().map(|&(_, w)| w).sum()
+        self.sum
     }
 
     /// Euclidean (L2) norm.
     pub fn norm(&self) -> f64 {
-        self.entries.iter().map(|&(_, w)| w * w).sum::<f64>().sqrt()
+        self.sumsq.sqrt()
     }
 
     /// Dot product via a sorted merge join.
@@ -110,17 +209,51 @@ impl SparseVector {
         acc
     }
 
+    /// Write each weight into `scratch` at its slot, `slots[k]` being the
+    /// slot of entry `k`: the dense side of [`gather`](Self::gather).
+    pub fn scatter(&self, slots: &[u32], scratch: &mut [f64]) {
+        debug_assert_eq!(slots.len(), self.entries.len());
+        for (&(_, w), &slot) in self.entries.iter().zip(slots) {
+            scratch[slot as usize] = w;
+        }
+    }
+
+    /// Zero the slots [`scatter`](Self::scatter) wrote, leaving a scratch
+    /// that was all zeros before it all zeros again.
+    pub fn unscatter(&self, slots: &[u32], scratch: &mut [f64]) {
+        debug_assert_eq!(slots.len(), self.entries.len());
+        for &slot in slots {
+            scratch[slot as usize] = 0.0;
+        }
+    }
+
+    /// Dot product against the vector [`scatter`](Self::scatter)ed into an
+    /// otherwise all-zero `scratch` through the same slot map, `slots[k]`
+    /// being the slot of entry `k`.
+    ///
+    /// Equal bit for bit to [`dot`](Self::dot) for finite weights. Both add
+    /// into an accumulator that starts at +0.0, in term order. The shared
+    /// terms contribute the same products in the same order. Every other
+    /// term contributes `w · 0.0 = ±0.0`, and adding ±0.0 leaves the
+    /// accumulator unchanged: it is never −0.0, because a sum that starts at
+    /// +0.0 only reaches zero again by exact cancellation, which rounds to
+    /// +0.0.
+    pub fn gather(&self, slots: &[u32], scratch: &[f64]) -> f64 {
+        debug_assert_eq!(slots.len(), self.entries.len());
+        let mut acc = 0.0;
+        for (&(_, w), &slot) in self.entries.iter().zip(slots) {
+            acc += w * scratch[slot as usize];
+        }
+        acc
+    }
+
     /// Cosine similarity in `[0, 1]` for non-negative vectors.
     ///
     /// Returns 0 when either vector is empty (the paper treats pages with
     /// missing features as maximally uninformative, i.e. no similarity
     /// evidence).
     pub fn cosine(&self, other: &Self) -> f64 {
-        let denom = self.norm() * other.norm();
-        if denom == 0.0 {
-            return 0.0;
-        }
-        (self.dot(other) / denom).clamp(0.0, 1.0)
+        WordVectorMeasure::Cosine.finish(self.dot(other), self, other, 0)
     }
 
     /// Pearson correlation similarity over a `dim`-dimensional space,
@@ -131,21 +264,7 @@ impl SparseVector {
     /// as zero, so the means are `sum / dim`. Returns 0 if either vector is
     /// constant over the space (zero variance) or `dim == 0`.
     pub fn pearson(&self, other: &Self, dim: usize) -> f64 {
-        if dim == 0 {
-            return 0.0;
-        }
-        let n = dim as f64;
-        let (sa, sb) = (self.sum(), other.sum());
-        // sum((a_i - ma)(b_i - mb)) = dot(a,b) - ma*sb - mb*sa + n*ma*mb
-        //                           = dot(a,b) - sa*sb/n.
-        let cov = self.dot(other) - sa * sb / n;
-        let var_a = self.entries.iter().map(|&(_, w)| w * w).sum::<f64>() - sa * sa / n;
-        let var_b = other.entries.iter().map(|&(_, w)| w * w).sum::<f64>() - sb * sb / n;
-        if var_a <= 0.0 || var_b <= 0.0 {
-            return 0.0;
-        }
-        let r = (cov / (var_a.sqrt() * var_b.sqrt())).clamp(-1.0, 1.0);
-        (r + 1.0) / 2.0
+        WordVectorMeasure::Pearson.finish(self.dot(other), self, other, dim)
     }
 
     /// Extended Jaccard (Tanimoto) similarity:
@@ -153,12 +272,7 @@ impl SparseVector {
     ///
     /// Returns 0 when both vectors are empty.
     pub fn extended_jaccard(&self, other: &Self) -> f64 {
-        let dot = self.dot(other);
-        let denom = self.norm().powi(2) + other.norm().powi(2) - dot;
-        if denom <= 0.0 {
-            return 0.0;
-        }
-        (dot / denom).clamp(0.0, 1.0)
+        WordVectorMeasure::ExtendedJaccard.finish(self.dot(other), self, other, 0)
     }
 
     /// Element-wise sum of two vectors.

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use weber_textindex::sparse::SparseVector;
+use weber_textindex::sparse::{SparseVector, WordVectorMeasure};
 use weber_textindex::stem::porter_stem;
 use weber_textindex::tfidf::{IdfScheme, TfIdf, TfScheme};
 use weber_textindex::token::{tokenize, tokenize_words};
@@ -16,7 +16,90 @@ fn nonneg_vector() -> impl Strategy<Value = SparseVector> {
     })
 }
 
+/// Strategy: a sparse vector with weights of either sign over small term
+/// ids (term id `i` doubles as its own scatter slot).
+fn mixed_vector() -> impl Strategy<Value = SparseVector> {
+    proptest::collection::vec((0u32..64, -10.0f64..10.0), 0..40).prop_map(|pairs| {
+        SparseVector::from_pairs(pairs.into_iter().map(|(i, w)| (TermId(i), w)).collect())
+    })
+}
+
+fn term_slots(v: &SparseVector) -> Vec<u32> {
+    v.entries().iter().map(|&(TermId(i), _)| i).collect()
+}
+
+/// The sums the measures read, as the pairwise methods computed them before
+/// the vectors cached them.
+fn old_sum(v: &SparseVector) -> f64 {
+    v.entries().iter().map(|&(_, w)| w).sum()
+}
+
+fn old_sumsq(v: &SparseVector) -> f64 {
+    v.entries().iter().map(|&(_, w)| w * w).sum::<f64>()
+}
+
+fn old_cosine(a: &SparseVector, b: &SparseVector) -> f64 {
+    let denom = old_sumsq(a).sqrt() * old_sumsq(b).sqrt();
+    if denom == 0.0 {
+        return 0.0;
+    }
+    (a.dot(b) / denom).clamp(0.0, 1.0)
+}
+
+fn old_pearson(a: &SparseVector, b: &SparseVector, dim: usize) -> f64 {
+    if dim == 0 {
+        return 0.0;
+    }
+    let n = dim as f64;
+    let (sa, sb) = (old_sum(a), old_sum(b));
+    let cov = a.dot(b) - sa * sb / n;
+    let var_a = old_sumsq(a) - sa * sa / n;
+    let var_b = old_sumsq(b) - sb * sb / n;
+    if var_a <= 0.0 || var_b <= 0.0 {
+        return 0.0;
+    }
+    let r = (cov / (var_a.sqrt() * var_b.sqrt())).clamp(-1.0, 1.0);
+    (r + 1.0) / 2.0
+}
+
+fn old_extended_jaccard(a: &SparseVector, b: &SparseVector) -> f64 {
+    let dot = a.dot(b);
+    let denom = old_sumsq(a).sqrt().powi(2) + old_sumsq(b).sqrt().powi(2) - dot;
+    if denom <= 0.0 {
+        return 0.0;
+    }
+    (dot / denom).clamp(0.0, 1.0)
+}
+
 proptest! {
+    #[test]
+    fn gather_dot_equals_merge_dot_bitwise(a in mixed_vector(), b in mixed_vector()) {
+        let mut scratch = vec![0.0; 64];
+        let b_slots = term_slots(&b);
+        b.scatter(&b_slots, &mut scratch);
+        let gathered = a.gather(&term_slots(&a), &scratch);
+        prop_assert_eq!(gathered.to_bits(), a.dot(&b).to_bits(), "{} vs {}", gathered, a.dot(&b));
+        b.unscatter(&b_slots, &mut scratch);
+        prop_assert!(scratch.iter().all(|&x| x.to_bits() == 0));
+    }
+
+    #[test]
+    fn each_finish_equals_the_old_method_body(
+        a in mixed_vector(),
+        b in mixed_vector(),
+        dim in 0usize..256,
+    ) {
+        let dot = a.dot(&b);
+        for (measure, old) in [
+            (WordVectorMeasure::Cosine, old_cosine(&a, &b)),
+            (WordVectorMeasure::Pearson, old_pearson(&a, &b, dim)),
+            (WordVectorMeasure::ExtendedJaccard, old_extended_jaccard(&a, &b)),
+        ] {
+            let new = measure.finish(dot, &a, &b, dim);
+            prop_assert_eq!(new.to_bits(), old.to_bits(), "{:?}: {} vs {}", measure, new, old);
+        }
+    }
+
     #[test]
     fn tokenizer_output_is_lowercase_alphanumeric(s in ".{0,200}") {
         for tok in tokenize(&s) {
