@@ -25,8 +25,9 @@ fn main() {
         .find(|b| b.block.query_name() == "cohen")
         .expect("the www05-like preset contains a 'cohen' block");
 
-    let sims =
-        weber_core::layers::similarity_graph(&target.block, function(FunctionId::F3).as_ref());
+    let sims = target
+        .block
+        .similarity_graph(function(FunctionId::F3).as_ref());
     let supervision = Supervision::sample_from_truth(&target.truth, 0.1, 1);
     let samples = supervision.labeled_values(|i, j| sims.get(i, j));
     let values: Vec<f64> = samples.iter().map(|s| s.value).collect();

@@ -18,8 +18,8 @@
 //!   edges by CBS or Jaccard evidence, prune below the scaled mean weight
 //!   ([`meta`]). Keeps the redundancy-heavy pairs, discards the long tail.
 //! - **LSH** ([`Strategy::Lsh`]): MinHash signatures of the term sets cut
-//!   into band buckets ([`lsh`]) — the PR 3 intra-block prefilter promoted
-//!   to a corpus-scale candidate generator.
+//!   into band buckets ([`lsh`]). This is where MinHash filtering belongs:
+//!   at the blocking tier, before any block is built.
 //!
 //! The outcome ([`CandidateBlocks`]) carries the candidate pairs, the
 //! connected components of the candidate graph (the blocks a downstream

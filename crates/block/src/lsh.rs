@@ -1,9 +1,7 @@
 //! Corpus-scale LSH candidate generation over MinHash signatures.
 //!
-//! PR 3 introduced a MinHash prefilter *inside* a block (skip word-vector
-//! similarity for pairs whose signatures disagree). This module turns the
-//! same machinery (`weber_textindex::MinHasher`) into a candidate
-//! *generator* over the whole corpus: every document's df-filtered term
+//! A candidate *generator* over the whole corpus built on
+//! `weber_textindex::MinHasher`: every document's df-filtered term
 //! set is MinHash-signed, signatures are cut into bands, documents
 //! colliding in any band bucket become bucket candidates, and candidates
 //! are verified against the signature-estimated Jaccard before they are

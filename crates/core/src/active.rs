@@ -11,7 +11,6 @@
 use weber_simfun::block::PreparedBlock;
 use weber_simfun::functions::SimilarityFunction;
 
-use crate::layers::similarity_graph;
 use crate::supervision::Supervision;
 
 /// Score each document by how uncertain the per-function similarity
@@ -28,7 +27,7 @@ pub fn uncertainty_scores(
         return scores;
     }
     for f in functions {
-        let sims = similarity_graph(block, f.as_ref());
+        let sims = block.similarity_graph(f.as_ref());
         for (i, j, w) in sims.edges() {
             let u = 1.0 - 2.0 * (w - 0.5).abs();
             scores[i] += u;

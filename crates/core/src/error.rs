@@ -9,8 +9,6 @@ pub enum CoreError {
     NoCriteria,
     /// A training fraction outside `[0, 1]`.
     InvalidTrainFraction(f64),
-    /// A MinHash prefilter threshold outside `[0, 1]`.
-    InvalidPrefilterThreshold(f64),
     /// Supervision referenced a document index outside the block.
     SupervisionOutOfRange {
         /// The offending document index.
@@ -31,12 +29,6 @@ impl std::fmt::Display for CoreError {
             }
             CoreError::InvalidTrainFraction(x) => {
                 write!(f, "training fraction must be in [0, 1], got {x}")
-            }
-            CoreError::InvalidPrefilterThreshold(x) => {
-                write!(
-                    f,
-                    "word-vector prefilter threshold must be in [0, 1], got {x}"
-                )
             }
             CoreError::SupervisionOutOfRange { doc, block_len } => {
                 write!(

@@ -12,7 +12,7 @@
 //! link-probability graph — is an [`EvidenceLayer`], materialised from a
 //! score. Best-graph resolution and training score every layer and
 //! materialise at most the winner; the strategies that overlay all layers
-//! materialise all of them ([`build_layers_with`]). Both go through the
+//! materialise all of them ([`build_layers`]). Both go through the
 //! same per-function routine, so there is one place that fits and scores.
 
 use std::collections::HashMap;
@@ -145,27 +145,10 @@ pub fn training_fp(decisions: &DecisionGraph, supervision: &Supervision) -> f64 
     seed_fp(supervision, |d| closed.label_of(d))
 }
 
-/// Compute the similarity graph `G_w^{f}` of one function over a block.
-///
-/// Values are sanitised into `[0, 1]`: the contract says similarity
-/// functions stay in the unit interval, but a buggy custom function must
-/// not poison thresholds, region fits or combined scores — NaN becomes 0
-/// (no evidence), out-of-range values are clamped. Served from the block's
-/// similarity cache as a shared handle, so repeated calls (and streaming
-/// growth) neither recompute pairs nor copy the graph.
-pub fn similarity_graph(block: &PreparedBlock, f: &dyn SimilarityFunction) -> Arc<WeightedGraph> {
-    block.similarity_graph_with(f, None)
-}
-
-/// Tuning knobs for layer construction.
+/// The empty argument of [`build_layers_with`], kept only because the repo
+/// benchmark names both; ROADMAP item 1 removes them.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct LayerOptions {
-    /// MinHash prefilter threshold for word-vector functions: pairs whose
-    /// estimated shingle Jaccard falls below it score 0 without computing
-    /// the vector similarity. `None` (the default) is the exact path; see
-    /// [`ResolverConfig::word_vector_prefilter`](crate::resolver::ResolverConfig::word_vector_prefilter).
-    pub word_vector_prefilter: Option<f64>,
-}
+pub struct LayerOptions {}
 
 /// Blocks at or above this size fan per-function layer construction across
 /// scoped worker threads (the same pattern `Resolver::resolve_all` uses
@@ -181,7 +164,6 @@ const PARALLEL_BLOCK_LEN: usize = 64;
 fn per_function<T: Send>(
     block: &PreparedBlock,
     functions: &[Arc<dyn SimilarityFunction>],
-    options: LayerOptions,
     work: impl Fn(&dyn SimilarityFunction) -> Vec<T> + Sync,
 ) -> Vec<T> {
     if functions.len() > 1 && block.len() >= PARALLEL_BLOCK_LEN {
@@ -189,7 +171,7 @@ fn per_function<T: Send>(
         // runs once and the workers hit; asked for by the workers, each
         // would find its entry missing and build the family itself.
         if let Some(f) = functions.iter().find(|f| f.word_vector_measure().is_some()) {
-            block.similarity_graph_with(f.as_ref(), options.word_vector_prefilter);
+            block.similarity_graph(f.as_ref());
         }
         let work = &work;
         std::thread::scope(|scope| {
@@ -216,14 +198,14 @@ pub(crate) fn score_layers(
     functions: &[Arc<dyn SimilarityFunction>],
     criteria: &[DecisionCriterion],
     supervision: &Supervision,
-    options: LayerOptions,
 ) -> Vec<LayerScore> {
-    per_function(block, functions, options, |f| {
-        function_layers(block, f, criteria, supervision, options, |score, _| score)
+    per_function(block, functions, |f| {
+        function_layers(block, f, criteria, supervision, |score, _| score)
     })
 }
 
-/// Build all evidence layers for the given functions and criteria.
+/// Build all evidence layers for the given functions and criteria: every
+/// layer is scored, then its graphs are materialised from the score.
 ///
 /// The similarity graph per function is computed once (through the block's
 /// cache) and shared across criteria.
@@ -233,29 +215,23 @@ pub fn build_layers(
     criteria: &[DecisionCriterion],
     supervision: &Supervision,
 ) -> Vec<EvidenceLayer> {
-    build_layers_with(
-        block,
-        functions,
-        criteria,
-        supervision,
-        LayerOptions::default(),
-    )
+    per_function(block, functions, |f| {
+        function_layers(block, f, criteria, supervision, |score, sims| {
+            EvidenceLayer::materialise(score, sims, None)
+        })
+    })
 }
 
-/// [`build_layers`] with explicit [`LayerOptions`]: every layer is scored,
-/// then its graphs are materialised from the score.
+/// [`build_layers`] under its old signature, kept only because the repo
+/// benchmark calls it; ROADMAP item 1 removes it.
 pub fn build_layers_with(
     block: &PreparedBlock,
     functions: &[Arc<dyn SimilarityFunction>],
     criteria: &[DecisionCriterion],
     supervision: &Supervision,
-    options: LayerOptions,
+    _: LayerOptions,
 ) -> Vec<EvidenceLayer> {
-    per_function(block, functions, options, |f| {
-        function_layers(block, f, criteria, supervision, options, |score, sims| {
-            EvidenceLayer::materialise(score, sims, None)
-        })
-    })
+    build_layers(block, functions, criteria, supervision)
 }
 
 /// Apply a fitted decision to every pair of `sims`, in storage order,
@@ -303,7 +279,6 @@ fn function_layers<T>(
     f: &dyn SimilarityFunction,
     criteria: &[DecisionCriterion],
     supervision: &Supervision,
-    options: LayerOptions,
     finish: impl Fn(LayerScore, &Arc<WeightedGraph>) -> T,
 ) -> Vec<T> {
     // Stage timings: region estimation (criterion fitting) is recorded on
@@ -313,7 +288,7 @@ fn function_layers<T>(
     // `per_function` just records one observation per function.
     let start = Instant::now();
     let mut fit_elapsed = Duration::ZERO;
-    let sims = block.similarity_graph_with(f, options.word_vector_prefilter);
+    let sims = block.similarity_graph(f);
     let samples = supervision.labeled_values(|i, j| sims.get(i, j));
     let layers: Vec<T> = criteria
         .iter()
@@ -341,14 +316,12 @@ pub(crate) fn score_input_partitioned_layers(
     block: &PreparedBlock,
     functions: &[Arc<dyn SimilarityFunction>],
     supervision: &Supervision,
-    options: LayerOptions,
 ) -> Vec<LayerScore> {
-    per_function(block, functions, options, |f| {
+    per_function(block, functions, |f| {
         vec![input_partitioned_layer(
             block,
             f,
             supervision,
-            options,
             |score, _, _| score,
         )]
     })
@@ -363,29 +336,18 @@ pub(crate) fn score_input_partitioned_layers(
 /// [`SimilarityFunction::feature_presence`]) — and a separate optimal
 /// threshold is fitted per cell. This separates "low value because truly
 /// different" from "low value because information is missing", which a
-/// single threshold or value-region model conflates.
+/// single threshold or value-region model conflates. Every layer is
+/// scored, then its graphs are materialised from the score.
 pub fn build_input_partitioned_layers(
     block: &PreparedBlock,
     functions: &[Arc<dyn SimilarityFunction>],
     supervision: &Supervision,
 ) -> Vec<EvidenceLayer> {
-    build_input_partitioned_layers_with(block, functions, supervision, LayerOptions::default())
-}
-
-/// [`build_input_partitioned_layers`] with explicit [`LayerOptions`]: every
-/// layer is scored, then its graphs are materialised from the score.
-pub fn build_input_partitioned_layers_with(
-    block: &PreparedBlock,
-    functions: &[Arc<dyn SimilarityFunction>],
-    supervision: &Supervision,
-    options: LayerOptions,
-) -> Vec<EvidenceLayer> {
-    per_function(block, functions, options, |f| {
+    per_function(block, functions, |f| {
         vec![input_partitioned_layer(
             block,
             f,
             supervision,
-            options,
             |score, sims, presence| EvidenceLayer::materialise(score, sims, Some(presence)),
         )]
     })
@@ -405,10 +367,9 @@ fn input_partitioned_layer<T>(
     block: &PreparedBlock,
     f: &dyn SimilarityFunction,
     supervision: &Supervision,
-    options: LayerOptions,
     finish: impl Fn(LayerScore, &Arc<WeightedGraph>, &[bool]) -> T,
 ) -> T {
-    let sims = block.similarity_graph_with(f, options.word_vector_prefilter);
+    let sims = block.similarity_graph(f);
     let presence = feature_presence(block, f);
     let both = |i: usize, j: usize| presence[i] && presence[j];
     // Split the training pairs by input cell and fit each.
@@ -456,9 +417,8 @@ pub(crate) fn materialise_layer(
     block: &PreparedBlock,
     f: &dyn SimilarityFunction,
     score: LayerScore,
-    options: LayerOptions,
 ) -> EvidenceLayer {
-    let sims = block.similarity_graph_with(f, options.word_vector_prefilter);
+    let sims = block.similarity_graph(f);
     let presence = matches!(score.fitted, FittedDecision::InputCells { .. })
         .then(|| feature_presence(block, f));
     EvidenceLayer::materialise(score, &sims, presence.as_deref())
@@ -491,7 +451,7 @@ mod tests {
     #[test]
     fn similarity_graph_is_complete_and_bounded() {
         let (block, _) = prepared_block();
-        let g = similarity_graph(&block, function(FunctionId::F8).as_ref());
+        let g = block.similarity_graph(function(FunctionId::F8).as_ref());
         assert_eq!(g.len(), block.len());
         for (_, _, w) in g.edges() {
             assert!((0.0..=1.0).contains(&w));
@@ -608,19 +568,13 @@ mod tests {
         ];
         let criteria = DecisionCriterion::standard_set();
         assert!(block.len() >= PARALLEL_BLOCK_LEN, "parallel gate must open");
-        let parallel =
-            build_layers_with(&block, &functions, &criteria, &sup, LayerOptions::default());
+        let parallel = build_layers(&block, &functions, &criteria, &sup);
         let sequential: Vec<EvidenceLayer> = functions
             .iter()
             .flat_map(|f| {
-                function_layers(
-                    &block,
-                    f.as_ref(),
-                    &criteria,
-                    &sup,
-                    LayerOptions::default(),
-                    |score, sims| EvidenceLayer::materialise(score, sims, None),
-                )
+                function_layers(&block, f.as_ref(), &criteria, &sup, |score, sims| {
+                    EvidenceLayer::materialise(score, sims, None)
+                })
             })
             .collect();
         assert_eq!(parallel.len(), sequential.len());
@@ -641,7 +595,7 @@ mod tests {
         let sup = Supervision::sample_from_truth(&truth, 0.3, 5);
         let functions = weber_simfun::functions::standard_suite();
         let criteria = DecisionCriterion::standard_set();
-        score_layers(&block, &functions, &criteria, &sup, LayerOptions::default());
+        score_layers(&block, &functions, &criteria, &sup);
         let stats = block.cache_stats();
         // Seven feature graphs and one F8–F10 sweep; every worker hits.
         assert_eq!(stats.rebuilds(), 8);
@@ -653,15 +607,10 @@ mod tests {
     fn assert_scores_match_layers(block: &PreparedBlock, sup: &Supervision) {
         let functions = weber_simfun::functions::standard_suite();
         let criteria = DecisionCriterion::standard_set();
-        let options = LayerOptions::default();
-        let mut scores = score_layers(block, &functions, &criteria, sup, options);
-        scores.extend(score_input_partitioned_layers(
-            block, &functions, sup, options,
-        ));
-        let mut layers = build_layers_with(block, &functions, &criteria, sup, options);
-        layers.extend(build_input_partitioned_layers_with(
-            block, &functions, sup, options,
-        ));
+        let mut scores = score_layers(block, &functions, &criteria, sup);
+        scores.extend(score_input_partitioned_layers(block, &functions, sup));
+        let mut layers = build_layers(block, &functions, &criteria, sup);
+        layers.extend(build_input_partitioned_layers(block, &functions, sup));
         assert_eq!(scores.len(), functions.len() * (criteria.len() + 1));
         assert_eq!(scores.len(), layers.len());
         for (score, layer) in scores.iter().zip(&layers) {
@@ -725,21 +674,37 @@ mod tests {
         let sup = Supervision::sample_from_truth(&truth, 0.4, 8);
         let functions = vec![function(FunctionId::F2), function(FunctionId::F8)];
         let criteria = DecisionCriterion::standard_set();
-        let options = LayerOptions::default();
-        let mut scores = score_layers(&block, &functions, &criteria, &sup, options);
-        scores.extend(score_input_partitioned_layers(
-            &block, &functions, &sup, options,
-        ));
-        let mut layers = build_layers_with(&block, &functions, &criteria, &sup, options);
-        layers.extend(build_input_partitioned_layers_with(
-            &block, &functions, &sup, options,
-        ));
+        let mut scores = score_layers(&block, &functions, &criteria, &sup);
+        scores.extend(score_input_partitioned_layers(&block, &functions, &sup));
+        let mut layers = build_layers(&block, &functions, &criteria, &sup);
+        layers.extend(build_input_partitioned_layers(&block, &functions, &sup));
         let function_of = [0, 0, 0, 1, 1, 1, 0, 1];
         for ((score, all), f) in scores.into_iter().zip(&layers).zip(function_of) {
-            let one = materialise_layer(&block, functions[f].as_ref(), score, options);
+            let one = materialise_layer(&block, functions[f].as_ref(), score);
             assert!(Arc::ptr_eq(&one.similarities, &all.similarities));
             assert_eq!(one.decisions, all.decisions);
             assert_eq!(one.link_probability, all.link_probability);
+        }
+    }
+
+    #[test]
+    fn the_benchmark_forward_builds_the_same_layers() {
+        let (block, truth) = parallel_block();
+        let sup = Supervision::sample_from_truth(&truth, 0.3, 5);
+        let functions = weber_simfun::functions::standard_suite();
+        let criteria = DecisionCriterion::standard_set();
+        let direct = build_layers(&block, &functions, &criteria, &sup);
+        let forwarded =
+            build_layers_with(&block, &functions, &criteria, &sup, LayerOptions::default());
+        assert_eq!(direct.len(), forwarded.len());
+        for (d, f) in direct.iter().zip(&forwarded) {
+            let what = format!("{:?}", d.score);
+            assert_eq!(what, format!("{:?}", f.score));
+            let (d_score, f_score) = (d.score.selection_score, f.score.selection_score);
+            assert_eq!(d_score.to_bits(), f_score.to_bits(), "{what}");
+            assert!(Arc::ptr_eq(&d.similarities, &f.similarities), "{what}");
+            assert_eq!(d.decisions, f.decisions, "{what}");
+            assert_eq!(d.link_probability, f.link_probability, "{what}");
         }
     }
 

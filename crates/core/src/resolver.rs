@@ -11,8 +11,8 @@ use crate::combine::{select_best, CombinationStrategy, Combined};
 use crate::decision::DecisionCriterion;
 use crate::error::CoreError;
 use crate::layers::{
-    build_input_partitioned_layers_with, build_layers_with, materialise_layer,
-    score_input_partitioned_layers, score_layers, LayerOptions, LayerScore,
+    build_input_partitioned_layers, build_layers, materialise_layer,
+    score_input_partitioned_layers, score_layers, LayerScore,
 };
 use crate::supervision::Supervision;
 
@@ -33,12 +33,6 @@ pub struct ResolverConfig {
     /// (feature-presence cells with per-cell thresholds; §IV-A's
     /// "regions based on some properties of the input").
     pub input_partitioned: bool,
-    /// Optional MinHash prefilter threshold for word-vector similarity
-    /// functions (F8–F10): pairs whose estimated token-set Jaccard falls
-    /// below the threshold short-circuit to similarity 0 without touching
-    /// the TF-IDF vectors. `None` (the default) disables the prefilter;
-    /// `Some(0.0)` is provably identical to `None`.
-    pub word_vector_prefilter: Option<f64>,
 }
 
 impl Default for ResolverConfig {
@@ -58,7 +52,6 @@ impl std::fmt::Debug for ResolverConfig {
             .field("combination", &self.combination)
             .field("clustering", &self.clustering)
             .field("input_partitioned", &self.input_partitioned)
-            .field("word_vector_prefilter", &self.word_vector_prefilter)
             .finish()
     }
 }
@@ -77,7 +70,6 @@ impl ResolverConfig {
             combination: CombinationStrategy::BestGraph,
             clustering: ClusteringMethod::TransitiveClosure,
             input_partitioned: false,
-            word_vector_prefilter: None,
         }
     }
 
@@ -90,7 +82,6 @@ impl ResolverConfig {
             combination: CombinationStrategy::BestGraph,
             clustering: ClusteringMethod::TransitiveClosure,
             input_partitioned: false,
-            word_vector_prefilter: None,
         }
     }
 
@@ -103,7 +94,6 @@ impl ResolverConfig {
             combination: CombinationStrategy::BestGraph,
             clustering: ClusteringMethod::TransitiveClosure,
             input_partitioned: false,
-            word_vector_prefilter: None,
         }
     }
 
@@ -116,15 +106,6 @@ impl ResolverConfig {
     /// Enable the input-partitioned layers.
     pub fn with_input_partitioning(mut self) -> Self {
         self.input_partitioned = true;
-        self
-    }
-
-    /// Enable the MinHash prefilter for word-vector functions (F8–F10):
-    /// pairs whose estimated token-set Jaccard is below `threshold` are
-    /// scored 0 without computing the exact vector similarity. Thresholds
-    /// are validated to `[0, 1]` by [`validate`](Self::validate).
-    pub fn with_word_vector_prefilter(mut self, threshold: f64) -> Self {
-        self.word_vector_prefilter = Some(threshold);
         self
     }
 
@@ -146,7 +127,6 @@ impl ResolverConfig {
                 weber_graph::correlation::CorrelationConfig::default(),
             ),
             input_partitioned: false,
-            word_vector_prefilter: None,
         }
     }
 
@@ -157,11 +137,6 @@ impl ResolverConfig {
         }
         if self.criteria.is_empty() {
             return Err(CoreError::NoCriteria);
-        }
-        if let Some(t) = self.word_vector_prefilter {
-            if !(0.0..=1.0).contains(&t) || t.is_nan() {
-                return Err(CoreError::InvalidPrefilterThreshold(t));
-            }
         }
         Ok(())
     }
@@ -267,12 +242,6 @@ impl Resolver {
         results.into_iter().collect()
     }
 
-    fn layer_options(&self) -> LayerOptions {
-        LayerOptions {
-            word_vector_prefilter: self.config.word_vector_prefilter,
-        }
-    }
-
     /// Score every configured layer without materialising any: the
     /// standard layers function-major (criteria inner), then — when
     /// configured — one input-partitioned layer per function.
@@ -282,20 +251,12 @@ impl Resolver {
         supervision: &Supervision,
     ) -> Vec<LayerScore> {
         let config = &self.config;
-        let options = self.layer_options();
-        let mut scores = score_layers(
-            block,
-            &config.functions,
-            &config.criteria,
-            supervision,
-            options,
-        );
+        let mut scores = score_layers(block, &config.functions, &config.criteria, supervision);
         if config.input_partitioned {
             scores.extend(score_input_partitioned_layers(
                 block,
                 &config.functions,
                 supervision,
-                options,
             ));
         }
         scores
@@ -325,26 +286,18 @@ impl Resolver {
     ) -> Result<Resolution, CoreError> {
         supervision.validate(block.len())?;
         let config = &self.config;
-        let options = self.layer_options();
         let best_graph = config.combination == CombinationStrategy::BestGraph;
         // Materialised up front only for the strategies that overlay them.
         let mut layers = Vec::new();
         let scores: Vec<LayerScore> = if best_graph {
             self.score_layers(block, supervision)
         } else {
-            layers = build_layers_with(
-                block,
-                &config.functions,
-                &config.criteria,
-                supervision,
-                options,
-            );
+            layers = build_layers(block, &config.functions, &config.criteria, supervision);
             if config.input_partitioned {
-                layers.extend(build_input_partitioned_layers_with(
+                layers.extend(build_input_partitioned_layers(
                     block,
                     &config.functions,
                     supervision,
-                    options,
                 ));
             }
             layers.iter().map(|l| l.score.clone()).collect()
@@ -353,7 +306,7 @@ impl Resolver {
             let combined = if best_graph {
                 let best = select_best(&scores);
                 let function = self.layer_function(best).as_ref();
-                let layer = materialise_layer(block, function, scores[best].clone(), options);
+                let layer = materialise_layer(block, function, scores[best].clone());
                 Combined::selected(layer.decisions, layer.link_probability, best)
             } else {
                 config
@@ -519,40 +472,6 @@ mod tests {
             resolver.resolve_all(&prepared, 1.5, 1),
             Err(CoreError::InvalidTrainFraction(_))
         ));
-    }
-
-    #[test]
-    fn zero_prefilter_matches_unfiltered_resolution() {
-        // `Some(0.0)` never suppresses a pair (estimated Jaccard >= 0), so
-        // the entire resolution — layers, selection, partition — must be
-        // identical to running without the prefilter.
-        let blocks = prepared();
-        let (block, truth) = &blocks[0];
-        let sup = Supervision::sample_from_truth(truth, 0.25, 6);
-        let plain = Resolver::new(ResolverConfig::accuracy_suite(subset_i10()))
-            .unwrap()
-            .resolve(block, &sup)
-            .unwrap();
-        let filtered = Resolver::new(
-            ResolverConfig::accuracy_suite(subset_i10()).with_word_vector_prefilter(0.0),
-        )
-        .unwrap()
-        .resolve(block, &sup)
-        .unwrap();
-        assert_eq!(plain.partition, filtered.partition);
-        assert_eq!(plain.layers, filtered.layers);
-        assert_eq!(plain.selected_layer, filtered.selected_layer);
-    }
-
-    #[test]
-    fn out_of_range_prefilter_is_rejected() {
-        for bad in [-0.1, 1.5, f64::NAN] {
-            let c = ResolverConfig::default().with_word_vector_prefilter(bad);
-            assert!(matches!(
-                Resolver::new(c),
-                Err(CoreError::InvalidPrefilterThreshold(_))
-            ));
-        }
     }
 
     #[test]

@@ -30,9 +30,6 @@ pub struct TrainedModel {
     function: Arc<dyn SimilarityFunction>,
     fitted: FittedDecision,
     criterion: DecisionCriterion,
-    /// MinHash prefilter threshold the model was trained with; pair
-    /// similarities replay it so streaming decisions match the batch layer.
-    prefilter: Option<f64>,
     /// Training accuracy `acc(G^i_{D_j})` of the selected layer.
     pub accuracy: f64,
     /// Training-Fp selection score of the selected layer.
@@ -75,17 +72,16 @@ impl TrainedModel {
 
     /// Similarity value of pair `(i, j)` under the selected function,
     /// sanitised into `[0, 1]` exactly as the batch layers sanitise it
-    /// (NaN becomes 0, out-of-range values are clamped) and subject to the
-    /// trained prefilter, if any.
+    /// (NaN becomes 0, out-of-range values are clamped).
     pub fn similarity(&self, block: &PreparedBlock, i: usize, j: usize) -> f64 {
-        block.pair_similarity(self.function.as_ref(), self.prefilter, i, j)
+        block.pair_similarity(self.function.as_ref(), i, j)
     }
 
     /// The full similarity graph of the selected function over `block`: a
     /// shared handle served from (and feeding) the block's incremental
     /// similarity cache.
     pub fn similarity_graph(&self, block: &PreparedBlock) -> Arc<WeightedGraph> {
-        block.similarity_graph_with(self.function.as_ref(), self.prefilter)
+        block.similarity_graph(self.function.as_ref())
     }
 
     /// Similarities of `doc` against every *earlier* block member: entry
@@ -94,7 +90,7 @@ impl TrainedModel {
     /// arriving document is always the newest, so the earlier members are
     /// the whole block.
     pub fn similarity_row(&self, block: &PreparedBlock, doc: usize) -> Vec<f64> {
-        block.similarity_row_with(self.function.as_ref(), self.prefilter, doc)
+        block.similarity_row(self.function.as_ref(), doc)
     }
 
     /// Link / no-link decision for pair `(i, j)`, matching the decision the
@@ -214,7 +210,6 @@ impl Resolver {
             function,
             fitted: layer.fitted,
             criterion: layer.criterion,
-            prefilter: self.config().word_vector_prefilter,
             accuracy: layer.accuracy,
             selection_score: layer.selection_score,
         })

@@ -25,26 +25,15 @@ pub enum Linkage {
 }
 
 impl Linkage {
-    /// Combine member-wise link scores into one document-vs-cluster score.
-    ///
-    /// This is the linkage rule itself, decoupled from any graph storage so
-    /// online/streaming callers can feed scores computed on the fly.
-    /// Returns NaN for an empty iterator (a cluster always has members).
-    pub fn combine_scores(&self, values: impl IntoIterator<Item = f64>) -> f64 {
-        let values = values.into_iter();
+    /// The linkage score of `doc` against a (non-empty) cluster.
+    fn score(&self, scores: &WeightedGraph, doc: usize, members: &[usize]) -> f64 {
+        debug_assert!(!members.is_empty());
+        let values = members.iter().map(|&m| scores.get(doc, m));
         match self {
             Linkage::Single => values.fold(f64::NEG_INFINITY, f64::max),
             Linkage::Complete => values.fold(f64::INFINITY, f64::min),
-            Linkage::Average => {
-                let (sum, n) = values.fold((0.0, 0usize), |(s, n), v| (s + v, n + 1));
-                sum / n as f64
-            }
+            Linkage::Average => values.sum::<f64>() / members.len() as f64,
         }
-    }
-
-    fn score(&self, scores: &WeightedGraph, doc: usize, members: &[usize]) -> f64 {
-        debug_assert!(!members.is_empty());
-        self.combine_scores(members.iter().map(|&m| scores.get(doc, m)))
     }
 }
 

@@ -36,5 +36,6 @@ pub use poller::{
 };
 pub use pool::{Completion, CompletionSender, Dispatch, RouteClass, WorkerPool};
 pub use server::{
-    serve, serve_lines, NdjsonService, Reply, Responder, ServerOptions, QUEUE_DEPTH_GAUGE,
+    serve, serve_lines, NdjsonService, Reply, Responder, ServerOptions, MAX_PIPELINE,
+    QUEUE_DEPTH_GAUGE,
 };

@@ -12,7 +12,7 @@
 //! connection's reorder buffer until every earlier sequence number has
 //! been emitted, so clients may pipeline freely and still read replies
 //! positionally. Two valves bound memory per connection: reads pause
-//! while more than `max_pipeline` lines are in flight, and while the
+//! while [`MAX_PIPELINE`] lines are in flight, and while the
 //! write buffer holds more than `write_high_watermark` unsent bytes
 //! (a client that never reads its replies stops being read itself).
 //!
@@ -124,9 +124,6 @@ pub struct ServerOptions {
     /// never evicts — routers keep pooled backend connections idle for
     /// minutes by design.
     pub idle_timeout: Option<Duration>,
-    /// Lines admitted but unanswered per connection before its reads
-    /// pause.
-    pub max_pipeline: usize,
     /// Unsent reply bytes per connection before its reads pause.
     pub write_high_watermark: usize,
     /// Longest accepted request line.
@@ -144,7 +141,6 @@ impl Default for ServerOptions {
             queue_capacity: 1024,
             max_connections: 1024,
             idle_timeout: None,
-            max_pipeline: 256,
             write_high_watermark: 256 * 1024,
             max_line_bytes: 1024 * 1024,
             drain_grace: Duration::from_secs(5),
@@ -152,6 +148,13 @@ impl Default for ServerOptions {
         }
     }
 }
+
+/// Lines admitted but unanswered per connection before the reactor stops
+/// reading it. A deeper pipeline is backpressure, not an error: the client
+/// is read again as replies drain. The bound only caps one connection's
+/// queued work and reply memory, and 256 is above the deepest burst any
+/// client or test here sends (64 unread lines; the benchmark pipelines 2).
+pub const MAX_PIPELINE: u64 = 256;
 
 /// The gauge [`serve`] keeps in [`ServerOptions::registry`] at the number
 /// of lines queued for the workers and not yet picked up. A tier that
@@ -366,7 +369,7 @@ pub fn serve<S: NdjsonService>(
         for (&token, conn) in conns.iter_mut() {
             if conn.framer.pending_bytes() > 0
                 && !conn.read_closed
-                && conn.in_flight() < options.max_pipeline as u64
+                && conn.in_flight() < MAX_PIPELINE
             {
                 frame_pending(
                     conn,
@@ -374,7 +377,6 @@ pub fn serve<S: NdjsonService>(
                     &pool,
                     &completion_sender,
                     service.as_ref(),
-                    &options,
                     &mut admitted,
                     &mut shutting_down,
                     metrics.as_ref(),
@@ -392,7 +394,7 @@ pub fn serve<S: NdjsonService>(
             let want = Interest {
                 readable: !conn.read_closed
                     && !shutting_down
-                    && conn.in_flight() < options.max_pipeline as u64
+                    && conn.in_flight() < MAX_PIPELINE
                     && conn.out.pending() <= options.write_high_watermark,
                 writable: !conn.out.is_empty(),
             };
@@ -535,9 +537,7 @@ fn read_and_frame<S: NdjsonService>(
     let mut chunk = [0u8; READ_CHUNK];
     loop {
         // Respect the pipelining valve even within one readable burst.
-        if conn.in_flight() >= options.max_pipeline as u64
-            || conn.out.pending() > options.write_high_watermark
-        {
+        if conn.in_flight() >= MAX_PIPELINE || conn.out.pending() > options.write_high_watermark {
             break;
         }
         match conn.stream.read(&mut chunk) {
@@ -554,7 +554,6 @@ fn read_and_frame<S: NdjsonService>(
                     pool,
                     completions,
                     service,
-                    options,
                     admitted,
                     shutting_down,
                     metrics,
@@ -585,7 +584,6 @@ fn read_and_frame<S: NdjsonService>(
         pool,
         completions,
         service,
-        options,
         admitted,
         shutting_down,
         metrics,
@@ -606,12 +604,11 @@ fn frame_pending<S: NdjsonService>(
     pool: &WorkerPool,
     completions: &CompletionSender,
     service: &S,
-    options: &ServerOptions,
     admitted: &mut u64,
     shutting_down: &mut bool,
     metrics: Option<&NetMetrics>,
 ) {
-    while conn.in_flight() < options.max_pipeline as u64 && !conn.read_closed {
+    while conn.in_flight() < MAX_PIPELINE && !conn.read_closed {
         if conn.framer.overflowed() {
             break;
         }

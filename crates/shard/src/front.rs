@@ -52,9 +52,6 @@ pub struct FrontOptions {
     /// never evicts — callers keep pooled router connections idle for
     /// long stretches by design.
     pub idle_timeout: Option<Duration>,
-    /// Lines admitted but unanswered per connection before its reads
-    /// pause.
-    pub max_pipeline: usize,
 }
 
 impl Default for FrontOptions {
@@ -64,7 +61,6 @@ impl Default for FrontOptions {
             queue_capacity: 256,
             max_connections: 64,
             idle_timeout: None,
-            max_pipeline: 256,
         }
     }
 }
@@ -104,7 +100,6 @@ pub fn route_listener(
             queue_capacity: options.queue_capacity,
             max_connections: options.max_connections.max(1),
             idle_timeout: options.idle_timeout,
-            max_pipeline: options.max_pipeline,
             registry: Some(registry),
             ..ServerOptions::default()
         },

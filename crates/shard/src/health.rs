@@ -15,9 +15,10 @@
 //! the first request that reaches it, not only by the next probe.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
+use crate::unpoisoned;
 
 /// Consecutive failures after which backoff stops growing (2^6 = 64x the
 /// base interval).
@@ -56,15 +57,15 @@ impl HealthState {
 
     /// The most recent failure's message, if currently unhealthy.
     pub fn last_error(&self) -> Option<String> {
-        self.last_error.lock().clone()
+        unpoisoned(self.last_error.lock()).clone()
     }
 
     /// Record a successful exchange (probe or routed request).
     pub fn mark_success(&self, probe_interval: Duration) {
         self.healthy.store(true, Ordering::SeqCst);
         self.failures.store(0, Ordering::SeqCst);
-        *self.last_error.lock() = None;
-        *self.next_probe_at.lock() = Instant::now() + probe_interval;
+        *unpoisoned(self.last_error.lock()) = None;
+        *unpoisoned(self.next_probe_at.lock()) = Instant::now() + probe_interval;
     }
 
     /// Record a failed exchange; the next probe is pushed out by
@@ -81,12 +82,12 @@ impl HealthState {
             })
             .expect("the update closure never rejects");
         let failures = previous.saturating_add(1);
-        *self.last_error.lock() = Some(error.to_string());
+        *unpoisoned(self.last_error.lock()) = Some(error.to_string());
         let delay = Self::backoff_for(failures, probe_interval);
         let now = Instant::now();
         // `Instant + Duration` panics on overflow; an absurd configured
         // interval degrades to "retry in ~a day" instead.
-        *self.next_probe_at.lock() = now
+        *unpoisoned(self.next_probe_at.lock()) = now
             .checked_add(delay)
             .unwrap_or_else(|| now + Duration::from_secs(86_400));
     }
@@ -105,7 +106,7 @@ impl HealthState {
     /// Should the prober contact this backend now? Healthy backends are
     /// probed every interval; unhealthy ones on the backoff schedule.
     pub fn probe_due(&self, now: Instant) -> bool {
-        now >= *self.next_probe_at.lock()
+        now >= *unpoisoned(self.next_probe_at.lock())
     }
 
     /// Current backoff delay, for reporting.

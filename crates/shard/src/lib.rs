@@ -53,6 +53,42 @@ pub mod router;
 pub use front::{route_listener, route_stdio, route_tcp, FrontOptions};
 pub use health::HealthState;
 pub use merge::{snapshot_from_wire, ShardOutcome};
-pub use pool::{ExchangeCallback, ExchangeResult, OutboundPool, Phase, PoolOptions};
-pub use ring::{fnv1a, HashRing};
+pub use pool::{
+    ExchangeCallback, ExchangeResult, OutboundPool, Phase, PoolOptions, SLOTS_PER_BACKEND,
+};
+pub use ring::{fnv1a, HashRing, VNODES};
 pub use router::{spawn_prober, LineOutcome, Prober, Router, RouterError, RouterOptions};
+
+use std::sync::{LockResult, PoisonError};
+
+/// The guard of a lock result, even when a previous holder panicked. The
+/// network pool catches a panicking request; poisoning would turn that one
+/// failure into an error on every later request that takes the same lock.
+pub(crate) fn unpoisoned<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::{Arc, Mutex, RwLock};
+
+    #[test]
+    fn locks_still_lock_after_a_holder_panicked() {
+        let mutex = Arc::new(Mutex::new(1));
+        let rwlock = Arc::new(RwLock::new(1));
+        let (m, r) = (Arc::clone(&mutex), Arc::clone(&rwlock));
+        let panicked = std::thread::spawn(move || {
+            let _m = m.lock().unwrap();
+            let _r = r.write().unwrap();
+            panic!("holder dies with both locks held");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(mutex.is_poisoned() && rwlock.is_poisoned());
+        *unpoisoned(mutex.lock()) += 1;
+        assert_eq!(*unpoisoned(mutex.lock()), 2);
+        *unpoisoned(rwlock.write()) += 1;
+        assert_eq!(*unpoisoned(rwlock.read()), 2);
+    }
+}

@@ -311,7 +311,7 @@ mod tests {
 
     fn ring(n: usize) -> HashRing {
         let addrs: Vec<String> = (0..n).map(|i| format!("127.0.0.1:{}", 7000 + i)).collect();
-        HashRing::new(&addrs, 64)
+        HashRing::new(&addrs, crate::ring::VNODES)
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! connection matches each NDJSON reply line to the oldest unanswered
 //! request (the protocol is strictly 1:1 and in order per connection).
 //!
-//! Each backend gets `slots_per_backend` connection slots. A submission
+//! Each backend gets [`SLOTS_PER_BACKEND`] connection slots. A submission
 //! carrying a key (the hash of the entity name) sticks to
 //! `key % slots`, so same-name writes travel one TCP connection in
 //! admission order end to end; key-less submissions (probes, fan-out
@@ -34,15 +34,16 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::{self, JoinHandle, ThreadId};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use weber_net::{
     connect_nonblocking, connect_outcome, ConnectProgress, Event, Interest, LineFramer, Poller,
     Waker, WriteBuffer,
 };
+
+use crate::unpoisoned;
 
 /// Where a failed exchange got to — retry policy depends on it. A failure
 /// during [`Phase::Connect`] provably sent nothing, so even non-idempotent
@@ -69,8 +70,6 @@ pub type ExchangeCallback = Box<dyn FnOnce(ExchangeResult) + Send>;
 /// Tuning for the outbound reactor.
 #[derive(Debug, Clone)]
 pub struct PoolOptions {
-    /// Connection slots per backend (the old pool's `pool_capacity`).
-    pub slots_per_backend: usize,
     /// TCP connect deadline.
     pub connect_timeout: Duration,
     /// Per-exchange deadline once the request has been written.
@@ -84,7 +83,6 @@ pub struct PoolOptions {
 impl Default for PoolOptions {
     fn default() -> Self {
         PoolOptions {
-            slots_per_backend: 2,
             connect_timeout: Duration::from_secs(1),
             io_timeout: Duration::from_secs(30),
             max_in_flight: 32,
@@ -92,6 +90,12 @@ impl Default for PoolOptions {
         }
     }
 }
+
+/// Connection slots per backend. Same-name writes stick to one slot, so
+/// more slots only spread *different* names over more sockets, each of
+/// which already pipelines [`PoolOptions::max_in_flight`] exchanges on the
+/// one reactor thread.
+pub const SLOTS_PER_BACKEND: usize = 2;
 
 /// How often the reactor sweeps for expired connects and exchanges.
 const SWEEP_TICK: Duration = Duration::from_millis(25);
@@ -233,7 +237,7 @@ impl OutboundPool {
             callback,
         };
         let rejected = {
-            let mut q = self.shared.queue.lock();
+            let mut q = unpoisoned(self.shared.queue.lock());
             if q.stopped {
                 Some(exchange)
             } else {
@@ -298,7 +302,7 @@ impl OutboundPool {
     }
 
     fn command(&self, command: Command) {
-        let mut q = self.shared.queue.lock();
+        let mut q = unpoisoned(self.shared.queue.lock());
         if !q.stopped {
             q.commands.push_back(command);
             drop(q);
@@ -310,7 +314,7 @@ impl OutboundPool {
 impl Drop for OutboundPool {
     fn drop(&mut self) {
         self.command(Command::Stop);
-        if let Some(handle) = self.reactor.lock().take() {
+        if let Some(handle) = unpoisoned(self.reactor.lock()).take() {
             let _ = handle.join();
         }
     }
@@ -383,7 +387,7 @@ impl Reactor {
     fn drain_commands(&mut self) -> bool {
         loop {
             let command = {
-                let mut q = self.shared.queue.lock();
+                let mut q = unpoisoned(self.shared.queue.lock());
                 q.commands.pop_front()
             };
             let Some(command) = command else {
@@ -435,7 +439,7 @@ impl Reactor {
     }
 
     fn accept_submit(&mut self, addr: String, key: Option<u64>, exchange: Exchange) {
-        let slots = self.options.slots_per_backend.max(1);
+        let slots = SLOTS_PER_BACKEND;
         let backend = self.backends.entry(addr).or_insert_with(|| Backend {
             slots: (0..slots).map(|_| Slot::default()).collect(),
             rr: 0,
@@ -773,7 +777,7 @@ impl Reactor {
     /// Stop: mark the queue closed, fail everything still pending.
     fn shutdown(&mut self) {
         let leftovers: Vec<Command> = {
-            let mut q = self.shared.queue.lock();
+            let mut q = unpoisoned(self.shared.queue.lock());
             q.stopped = true;
             q.commands.drain(..).collect()
         };
@@ -896,7 +900,7 @@ mod tests {
                 Some(3),
                 format!("line-{i}"),
                 Box::new(move |result| {
-                    seen.lock().push(result.unwrap());
+                    unpoisoned(seen.lock()).push(result.unwrap());
                     let _ = tx.send(());
                 }),
             );
@@ -904,7 +908,7 @@ mod tests {
         for _ in 0..32 {
             rx.recv_timeout(Duration::from_secs(5)).unwrap();
         }
-        let seen = seen.lock();
+        let seen = unpoisoned(seen.lock());
         let expected: Vec<String> = (0..32).map(|i| format!("line-{i}")).collect();
         assert_eq!(
             *seen, expected,

@@ -4,7 +4,7 @@
 //! routing is *exact*: the ring maps a name to the backend that owns
 //! every document, model and cluster for it — and, under replication, to
 //! the `r - 1` distinct successors that hold copies. Virtual nodes
-//! (`vnodes` points per backend) smooth the key distribution; FNV-1a is
+//! ([`VNODES`] points per backend) smooth the key distribution; FNV-1a is
 //! used instead of [`std::collections::hash_map::DefaultHasher`] because
 //! the router and its operators must agree on placement across processes
 //! and restarts, and `DefaultHasher` is randomly seeded per process.
@@ -40,6 +40,12 @@ fn point(bytes: &[u8]) -> u64 {
     mix(fnv1a(bytes))
 }
 
+/// Virtual points per backend on every router's ring. It is part of the
+/// placement contract like the hash: routers sharing a tier must agree on
+/// it, or a name routes to a backend that does not hold its state. 64 keeps
+/// four backends within the load band the ring tests check.
+pub const VNODES: usize = 64;
+
 /// A consistent-hash ring: `vnodes` virtual points per backend, names
 /// owned by the first point clockwise from their hash. Replica sets are
 /// the next distinct backends clockwise ([`successors`](Self::successors)).
@@ -53,7 +59,9 @@ pub struct HashRing {
 
 impl HashRing {
     /// Build a ring. `backends` must be non-empty; `vnodes` of 0 is
-    /// bumped to 1.
+    /// bumped to 1. The router always passes [`VNODES`]; the parameter
+    /// stays only because the repo benchmark passes it, and ROADMAP item 1
+    /// removes it.
     pub fn new(backends: &[String], vnodes: usize) -> Self {
         assert!(!backends.is_empty(), "a ring needs at least one backend");
         let vnodes = vnodes.max(1);
@@ -145,18 +153,18 @@ mod tests {
 
     #[test]
     fn ownership_is_deterministic_and_in_range() {
-        let ring = HashRing::new(&addrs(3), 64);
+        let ring = HashRing::new(&addrs(3), VNODES);
         for name in ["cohen", "smith", "johnson", "miller", ""] {
             let a = ring.owner(name);
             assert!(a < 3);
             assert_eq!(a, ring.owner(name), "owner must be stable");
-            assert_eq!(a, HashRing::new(&addrs(3), 64).owner(name));
+            assert_eq!(a, HashRing::new(&addrs(3), VNODES).owner(name));
         }
     }
 
     #[test]
     fn load_spreads_across_backends() {
-        let ring = HashRing::new(&addrs(4), 64);
+        let ring = HashRing::new(&addrs(4), VNODES);
         let mut counts = [0usize; 4];
         for i in 0..4000 {
             counts[ring.owner(&format!("name-{i}"))] += 1;
@@ -173,9 +181,9 @@ mod tests {
 
     #[test]
     fn removing_a_backend_only_remaps_its_own_names() {
-        let full = HashRing::new(&addrs(4), 64);
+        let full = HashRing::new(&addrs(4), VNODES);
         // Drop the last backend; survivors keep their indices.
-        let reduced = HashRing::new(&addrs(3), 64);
+        let reduced = HashRing::new(&addrs(3), VNODES);
         for i in 0..2000 {
             let name = format!("name-{i}");
             let before = full.owner(&name);
@@ -198,7 +206,7 @@ mod tests {
 
     #[test]
     fn successors_start_at_the_owner_and_are_distinct() {
-        let ring = HashRing::new(&addrs(4), 64);
+        let ring = HashRing::new(&addrs(4), VNODES);
         for name in ["cohen", "smith", "johnson", "miller", ""] {
             for r in 1..=4 {
                 let set = ring.successors(name, r);
@@ -215,7 +223,7 @@ mod tests {
 
     #[test]
     fn successors_clamp_to_the_backend_count() {
-        let ring = HashRing::new(&addrs(3), 64);
+        let ring = HashRing::new(&addrs(3), VNODES);
         assert_eq!(ring.successors("cohen", 0).len(), 1);
         let all = ring.successors("cohen", 99);
         assert_eq!(all.len(), 3, "r clamps to the tier size");
@@ -228,7 +236,7 @@ mod tests {
     fn replica_sets_spread_like_primaries() {
         // The second replica must not pile onto one backend: count
         // appearances of each backend anywhere in the r=2 sets.
-        let ring = HashRing::new(&addrs(4), 64);
+        let ring = HashRing::new(&addrs(4), VNODES);
         let mut counts = [0usize; 4];
         for i in 0..4000 {
             for idx in ring.successors(&format!("name-{i}"), 2) {

@@ -32,11 +32,10 @@
 use std::collections::VecDeque;
 use std::io;
 use std::sync::atomic::AtomicBool;
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Mutex, RwLock};
 use serde::Value;
 use weber_obs::{Counter, Gauge, Histogram, Registry};
 use weber_stream::protocol;
@@ -45,7 +44,8 @@ use weber_stream::StreamError;
 use crate::health::HealthState;
 use crate::merge::{self, ShardOutcome};
 use crate::pool::{OutboundPool, Phase, PoolOptions};
-use crate::ring::{fnv1a, HashRing};
+use crate::ring::{fnv1a, HashRing, VNODES};
+use crate::unpoisoned;
 
 /// Lines buffered per backend for write repair before the oldest is
 /// dropped (and counted on `route.repair_dropped`). Bounds memory during
@@ -56,8 +56,10 @@ const REPAIR_QUEUE_CAP: usize = 4096;
 /// Tuning knobs of the routing tier.
 #[derive(Debug, Clone)]
 pub struct RouterOptions {
-    /// Virtual points per backend on the ring (placement smoothing — not
-    /// the replication factor; see [`replication`](Self::replication)).
+    /// Virtual points per backend on the ring: must be [`VNODES`], which
+    /// every router of a tier shares, and [`Router::new`] rejects any other
+    /// value. Kept only because the repo benchmark reads it off the
+    /// default; ROADMAP item 1 removes it.
     pub vnodes: usize,
     /// Copies of every name: each write goes to the first `replication`
     /// distinct backends clockwise from the name's ring position, and
@@ -67,8 +69,6 @@ pub struct RouterOptions {
     /// Extra forwarding attempts after the first failure (idempotent ops;
     /// `ingest` only re-attempts failures that provably sent nothing).
     pub retries: usize,
-    /// Outbound connection slots kept per backend.
-    pub pool_capacity: usize,
     /// TCP connect timeout towards a backend.
     pub connect_timeout: Duration,
     /// Per-exchange read/write timeout towards a backend.
@@ -81,10 +81,9 @@ pub struct RouterOptions {
 impl Default for RouterOptions {
     fn default() -> Self {
         RouterOptions {
-            vnodes: 64,
+            vnodes: VNODES,
             replication: 1,
             retries: 2,
-            pool_capacity: 2,
             connect_timeout: Duration::from_secs(1),
             io_timeout: Duration::from_secs(30),
             probe_interval: Duration::from_secs(1),
@@ -219,9 +218,11 @@ impl Router {
     /// who is alive.
     pub fn new(backends: Vec<String>, options: RouterOptions) -> Result<Self, RouterError> {
         validated(&backends)?;
+        if options.vnodes != VNODES {
+            return Err(RouterError(format!("vnodes is fixed at {VNODES}")));
+        }
         let registry = Arc::new(Registry::new());
         let pool = OutboundPool::new(PoolOptions {
-            slots_per_backend: options.pool_capacity,
             connect_timeout: options.connect_timeout,
             io_timeout: options.io_timeout,
             ..PoolOptions::default()
@@ -231,7 +232,7 @@ impl Router {
             .iter()
             .map(|addr| Arc::new(Shard::new(addr, &registry)))
             .collect();
-        let ring = HashRing::new(&backends, options.vnodes);
+        let ring = HashRing::new(&backends, VNODES);
         let inner = Inner {
             topology: RwLock::new(Arc::new(Topology { ring, shards })),
             started: Instant::now(),
@@ -583,7 +584,7 @@ fn forward_write(inner: &Arc<Inner>, op: &str, name: &str, line: &str, done: Rep
             0,
             Box::new(move |result| {
                 let finished = {
-                    let mut join = join.lock();
+                    let mut join = unpoisoned(join.lock());
                     join.results[pos] = Some(result);
                     join.remaining -= 1;
                     if join.remaining == 0 {
@@ -837,7 +838,7 @@ fn broadcast_on(inner: &Arc<Inner>, topo: &Arc<Topology>, line: &str) -> Vec<Sha
 
 impl Inner {
     fn topology(&self) -> Arc<Topology> {
-        Arc::clone(&self.topology.read())
+        unpoisoned(self.topology.read()).clone()
     }
 
     /// The effective replication factor for `topo`: at least 1, never
@@ -894,7 +895,7 @@ impl Inner {
     /// [`REPAIR_QUEUE_CAP`] (oldest dropped first, counted on
     /// `route.repair_dropped`).
     fn queue_repair(&self, shard: &Shard, line: &str) {
-        let mut queue = shard.repair.lock();
+        let mut queue = unpoisoned(shard.repair.lock());
         if queue.len() >= REPAIR_QUEUE_CAP {
             queue.pop_front();
             self.repair_dropped.inc();
@@ -911,7 +912,7 @@ impl Inner {
     /// probe thread, blocking on each replay so order is preserved.
     fn drain_repairs(&self, shard: &Shard) {
         loop {
-            let Some(line) = shard.repair.lock().pop_front() else {
+            let Some(line) = unpoisoned(shard.repair.lock()).pop_front() else {
                 return;
             };
             match self.pool.exchange(&shard.addr, None, &line) {
@@ -920,7 +921,7 @@ impl Inner {
                     self.replica_lag_repairs.inc();
                 }
                 Err((_, e)) => {
-                    shard.repair.lock().push_front(line);
+                    unpoisoned(shard.repair.lock()).push_front(line);
                     shard
                         .health
                         .mark_failure(&e.to_string(), self.options.probe_interval);
@@ -949,7 +950,7 @@ impl Inner {
                     ("healthy", Value::Bool(s.health.is_healthy())),
                     ("failures", Value::Number(f64::from(s.health.failures()))),
                 ];
-                let backlog = s.repair.lock().len();
+                let backlog = unpoisoned(s.repair.lock()).len();
                 if backlog > 0 {
                     fields.push(("repair_backlog", Value::Number(backlog as f64)));
                 }
@@ -1000,8 +1001,8 @@ impl Inner {
                 })
                 .collect()
         };
-        let ring = HashRing::new(&backends, self.options.vnodes);
-        *self.topology.write() = Arc::new(Topology { ring, shards });
+        let ring = HashRing::new(&backends, VNODES);
+        *unpoisoned(self.topology.write()) = Arc::new(Topology { ring, shards });
         // Tear down pooled connections to backends that left the ring
         // (exchanges still pending towards them fail over normally).
         self.pool.retain(&backends);
@@ -1074,7 +1075,7 @@ impl Inner {
         // Recovered backends drain their write-repair backlog here: the
         // probe that found them healthy doubles as the replay trigger.
         for shard in &topo.shards {
-            if shard.health.is_healthy() && !shard.repair.lock().is_empty() {
+            if shard.health.is_healthy() && !unpoisoned(shard.repair.lock()).is_empty() {
                 self.drain_repairs(shard);
             }
         }
@@ -1140,6 +1141,15 @@ mod tests {
         assert!(Router::new(Vec::new(), RouterOptions::default()).is_err());
         let dup = vec!["a:1".to_string(), "a:1".to_string()];
         assert!(Router::new(dup, RouterOptions::default()).is_err());
+    }
+
+    #[test]
+    fn rejects_a_ring_other_than_the_tier_wide_one() {
+        let options = RouterOptions {
+            vnodes: VNODES + 1,
+            ..RouterOptions::default()
+        };
+        assert!(Router::new(addrs(2), options).is_err());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! therefore block-local, exactly as a per-name Lucene index would be.
 //!
 //! Beyond the vectors, the block owns the *similarity cache*: one shared
-//! [`WeightedGraph`] handle per `(function, prefilter)` key, grown by
+//! [`WeightedGraph`] handle per function, grown by
 //! appending one row per new document instead of recomputing all
 //! `n·(n−1)/2` pairs. Entry validity is structural — a cached graph is
 //! current when it covers every document and (for word-vector functions)
@@ -45,14 +45,12 @@ use crate::string_sim::{char_bigrams_sorted, jaro_winkler};
 
 pub use weber_textindex::incremental::WordVectorScheme;
 
-/// Cache key: the function's unique name plus the prefilter threshold (as
-/// bits, so the key is hashable); `None` is the exact, unfiltered graph.
-type CacheKey = (&'static str, Option<u64>);
+/// Cache key: the name `f`'s graph is cached under — its own, or for a
+/// word-vector measure the paper's function for that measure, so every
+/// function computing one measure shares one graph.
+type CacheKey = &'static str;
 
-/// The name `f`'s graph is cached under: its own, or for a word-vector
-/// measure the paper's function for that measure, so every function
-/// computing one measure shares one graph.
-fn cache_name(f: &dyn SimilarityFunction) -> &'static str {
+fn cache_key(f: &dyn SimilarityFunction) -> CacheKey {
     f.word_vector_measure()
         .map_or(f.name(), |m| word_vector_function(m).name())
 }
@@ -114,7 +112,7 @@ fn derive_features(query_name: &str, features: &PageFeatures) -> DerivedFeatures
 }
 
 /// Counters over the block's similarity-graph cache, incremented inside
-/// [`PreparedBlock::similarity_graph_with`]. Plain relaxed atomics — no
+/// [`PreparedBlock::similarity_graph`]. Plain relaxed atomics — no
 /// dependency on any metrics framework — so observers (the streaming
 /// resolver's metrics report) can share one instance across many blocks
 /// via [`PreparedBlock::set_cache_stats`] and read totals that survive
@@ -216,7 +214,7 @@ pub struct PreparedBlock {
     /// The shingle hasher (fixed parameters, kept for incremental growth).
     hasher: MinHasher,
     /// MinHash signatures over 3-token shingles, aligned with `features`
-    /// (near-duplicate / mirror detection, and the optional prefilter).
+    /// (near-duplicate / mirror detection).
     minhash: Vec<Vec<u64>>,
     /// Dimensionality of the word-vector space (block vocabulary size);
     /// needed by Pearson correlation (F9).
@@ -224,7 +222,7 @@ pub struct PreparedBlock {
     /// True when documents were pushed with [`push_deferred`](Self::push_deferred)
     /// and the word vectors have not been re-synced yet.
     vectors_stale: bool,
-    /// Per-(function, prefilter) similarity graphs. Interior-mutable so
+    /// Per-function similarity graphs. Interior-mutable so
     /// read paths (`&self`) can populate it; computation happens outside
     /// the lock, which is only held to hand out a handle or to take an
     /// entry out and put it back.
@@ -412,30 +410,11 @@ impl PreparedBlock {
     }
 
     /// The similarity of documents `i` and `j` under `f`, sanitised into
-    /// `[0, 1]` (NaN ↦ 0) and short-circuited to 0 by the optional MinHash
-    /// `prefilter` for word-vector functions whose estimated shingle
-    /// Jaccard falls below the threshold. This is the single definition of
-    /// a pairwise value: graphs, rows and model replay all route through it
-    /// or, for F8–F10, through the sweep that equals it bit for bit.
-    pub fn pair_similarity(
-        &self,
-        f: &dyn SimilarityFunction,
-        prefilter: Option<f64>,
-        i: usize,
-        j: usize,
-    ) -> f64 {
-        if f.uses_word_vectors() && self.prefiltered(prefilter, i, j) {
-            return 0.0;
-        }
+    /// `[0, 1]` (NaN ↦ 0). This is the single definition of a pairwise
+    /// value: graphs, rows and model replay all route through it or, for
+    /// F8–F10, through the sweep that equals it bit for bit.
+    pub fn pair_similarity(&self, f: &dyn SimilarityFunction, i: usize, j: usize) -> f64 {
         sanitise(f.compare(self, i, j))
-    }
-
-    /// True when the MinHash `prefilter` rules out word-vector pair
-    /// `(i, j)`: its estimated shingle Jaccard falls below the threshold.
-    fn prefiltered(&self, prefilter: Option<f64>, i: usize, j: usize) -> bool {
-        prefilter.is_some_and(|threshold| {
-            MinHasher::estimated_jaccard(&self.minhash[i], &self.minhash[j]) < threshold
-        })
     }
 
     /// The full pairwise similarity graph of `f` over the block, served
@@ -465,11 +444,7 @@ impl PreparedBlock {
     /// request for F9 while F8's sweep builds the family would build it
     /// twice. Layer scoring therefore requests the family once before it
     /// fans out over functions, and a name's stream is serialised.
-    pub fn similarity_graph_with(
-        &self,
-        f: &dyn SimilarityFunction,
-        prefilter: Option<f64>,
-    ) -> Arc<WeightedGraph> {
+    pub fn similarity_graph(&self, f: &dyn SimilarityFunction) -> Arc<WeightedGraph> {
         let n = self.len();
         let word = f.uses_word_vectors();
         debug_assert!(
@@ -478,8 +453,7 @@ impl PreparedBlock {
         );
         let generation = word.then(|| self.store.generation());
         let current = |c: &CachedGraph| c.generation == generation && c.graph.len() == n;
-        let bits = prefilter.map(f64::to_bits);
-        let key: CacheKey = (cache_name(f), bits);
+        let key = cache_key(f);
         let mut cache = self.cache();
         let taken = match cache.get(&key) {
             Some(c) if current(c) => {
@@ -495,7 +469,7 @@ impl PreparedBlock {
                 let mut graph = c.graph;
                 let g = Arc::make_mut(&mut graph);
                 for j in g.len()..n {
-                    g.push_node(&self.compute_row(f, prefilter, j));
+                    g.push_node(&self.compute_row(f, j));
                 }
                 vec![(key, graph)]
             }
@@ -507,8 +481,7 @@ impl PreparedBlock {
                 drop(stale);
                 let built = match f.word_vector_measure() {
                     Some(measure) => {
-                        let family_key =
-                            |m: WordVectorMeasure| (word_vector_function(m).name(), bits);
+                        let family_key = |m: WordVectorMeasure| word_vector_function(m).name();
                         let measures = if WordVectorMeasure::ALL
                             .iter()
                             .any(|&m| cache.get(&family_key(m)).is_some_and(current))
@@ -523,8 +496,7 @@ impl PreparedBlock {
                             }
                         }
                         drop(cache);
-                        let graphs =
-                            self.word_vector_graphs(&measures, prefilter, build_threads(n));
+                        let graphs = self.word_vector_graphs(&measures, build_threads(n));
                         measures
                             .into_iter()
                             .map(family_key)
@@ -534,7 +506,7 @@ impl PreparedBlock {
                     None => {
                         drop(cache);
                         let graph = WeightedGraph::from_fn_par(n, build_threads(n), |i, j| {
-                            self.pair_similarity(f, prefilter, i, j)
+                            self.pair_similarity(f, i, j)
                         });
                         vec![(key, Arc::new(graph))]
                     }
@@ -568,39 +540,38 @@ impl PreparedBlock {
     /// — for F8–F10 as one column of the sweep: their cached graphs go
     /// stale on almost every push, and caching a row that the next arrival
     /// invalidates would just add a full-matrix rebuild per ingest.
-    pub fn similarity_row_with(
+    pub fn similarity_row(&self, f: &dyn SimilarityFunction, doc: usize) -> Vec<f64> {
+        if f.uses_word_vectors() {
+            self.compute_row(f, doc)
+        } else {
+            self.similarity_graph(f).column(doc).to_vec()
+        }
+    }
+
+    /// [`similarity_graph`](Self::similarity_graph) under its old name,
+    /// kept only because the repo benchmark calls it; ROADMAP item 1
+    /// removes it. The MinHash prefilter is gone, so `prefilter` must be
+    /// `None`.
+    pub fn similarity_graph_with(
         &self,
         f: &dyn SimilarityFunction,
         prefilter: Option<f64>,
-        doc: usize,
-    ) -> Vec<f64> {
-        if f.uses_word_vectors() {
-            self.compute_row(f, prefilter, doc)
-        } else {
-            self.similarity_graph_with(f, prefilter)
-                .column(doc)
-                .to_vec()
-        }
+    ) -> Arc<WeightedGraph> {
+        assert!(prefilter.is_none(), "the word-vector prefilter was removed");
+        self.similarity_graph(f)
     }
 
     /// Column `doc` of `f`'s graph, computed afresh: one column of the
     /// word-vector sweep for F8–F10, one `pair_similarity` per member
     /// otherwise.
-    fn compute_row(
-        &self,
-        f: &dyn SimilarityFunction,
-        prefilter: Option<f64>,
-        doc: usize,
-    ) -> Vec<f64> {
+    fn compute_row(&self, f: &dyn SimilarityFunction, doc: usize) -> Vec<f64> {
         match f.word_vector_measure() {
             Some(m) => {
                 let mut row = vec![0.0; doc];
-                self.word_vector_columns(&[m], prefilter, doc..doc + 1, &mut [&mut row[..]]);
+                self.word_vector_columns(&[m], doc..doc + 1, &mut [&mut row[..]]);
                 row
             }
-            None => (0..doc)
-                .map(|i| self.pair_similarity(f, prefilter, i, doc))
-                .collect(),
+            None => (0..doc).map(|i| self.pair_similarity(f, i, doc)).collect(),
         }
     }
 
@@ -609,11 +580,10 @@ impl PreparedBlock {
     fn word_vector_graphs(
         &self,
         measures: &[WordVectorMeasure],
-        prefilter: Option<f64>,
         threads: usize,
     ) -> Vec<WeightedGraph> {
         WeightedGraph::from_column_runs(self.len(), measures.len(), threads, |columns, runs| {
-            self.word_vector_columns(measures, prefilter, columns, runs)
+            self.word_vector_columns(measures, columns, runs)
         })
     }
 
@@ -627,7 +597,6 @@ impl PreparedBlock {
     fn word_vector_columns(
         &self,
         measures: &[WordVectorMeasure],
-        prefilter: Option<f64>,
         columns: Range<usize>,
         runs: &mut [&mut [f64]],
     ) {
@@ -641,9 +610,9 @@ impl PreparedBlock {
             b.scatter(&slots[j], &mut scratch);
             for (i, a_slots) in slots[..j].iter().enumerate() {
                 let a = self.tfidf(i);
-                let dot = (!self.prefiltered(prefilter, i, j)).then(|| a.gather(a_slots, &scratch));
+                let dot = a.gather(a_slots, &scratch);
                 for (m, run) in measures.iter().zip(runs.iter_mut()) {
-                    run[k] = dot.map_or(0.0, |dot| sanitise(m.finish(dot, a, b, self.vocab_dim)));
+                    run[k] = sanitise(m.finish(dot, a, b, self.vocab_dim));
                 }
                 k += 1;
             }
@@ -659,7 +628,7 @@ impl PreparedBlock {
     /// Feature-function graphs stay: their prefixes are grown, not rebuilt.
     pub fn retain_word_vector_graph(&self, keep: &str) {
         self.cache()
-            .retain(|&(name, _), c| c.generation.is_none() || name == keep);
+            .retain(|&name, c| c.generation.is_none() || name == keep);
     }
 }
 
@@ -755,8 +724,8 @@ mod tests {
         }
         // And the full similarity engine agrees, for every function.
         for f in standard_suite() {
-            let gg = grown.similarity_graph_with(f.as_ref(), None);
-            let bg = batch.similarity_graph_with(f.as_ref(), None);
+            let gg = grown.similarity_graph(f.as_ref());
+            let bg = batch.similarity_graph(f.as_ref());
             for (i, j, w) in bg.edges() {
                 assert!(
                     (gg.get(i, j) - w).abs() < 1e-12,
@@ -811,11 +780,11 @@ mod tests {
         let f = NearDuplicateSimilarity;
         for t in TEXTS {
             b.push(e.extract(t, None));
-            let g = b.similarity_graph_with(&f, None);
+            let g = b.similarity_graph(&f);
             assert_eq!(g.len(), b.len());
             // Values always match a fresh, cache-free computation.
             for (i, j, w) in g.edges() {
-                assert!((w - b.pair_similarity(&f, None, i, j)).abs() < 1e-12);
+                assert!((w - b.pair_similarity(&f, i, j)).abs() < 1e-12);
             }
         }
     }
@@ -828,16 +797,16 @@ mod tests {
         for t in &TEXTS[..3] {
             b.push(e.extract(t, None));
         }
-        let before = b.similarity_graph_with(&f, None);
+        let before = b.similarity_graph(&f);
         assert_eq!(before.len(), 3);
         // Pushing a document changes idf weights: the cached graph must not
         // be served stale.
         b.push(e.extract(TEXTS[3], None));
-        let after = b.similarity_graph_with(&f, None);
+        let after = b.similarity_graph(&f);
         assert_eq!(after.len(), 4);
         for (i, j, _) in after.edges() {
             assert!(
-                (after.get(i, j) - b.pair_similarity(&f, None, i, j)).abs() < 1e-12,
+                (after.get(i, j) - b.pair_similarity(&f, i, j)).abs() < 1e-12,
                 "stale value served at ({i},{j})"
             );
         }
@@ -852,11 +821,11 @@ mod tests {
         }
         let doc = b.len() - 1;
         for f in standard_suite() {
-            let row = b.similarity_row_with(f.as_ref(), None, doc);
+            let row = b.similarity_row(f.as_ref(), doc);
             assert_eq!(row.len(), doc);
             for (i, &v) in row.iter().enumerate() {
                 assert!(
-                    (v - b.pair_similarity(f.as_ref(), None, i, doc)).abs() < 1e-12,
+                    (v - b.pair_similarity(f.as_ref(), i, doc)).abs() < 1e-12,
                     "{} row diverged at {i}",
                     f.name()
                 );
@@ -875,32 +844,32 @@ mod tests {
         }
         // Cold: one rebuild, no prior entry to invalidate.
         let f = NearDuplicateSimilarity;
-        b.similarity_graph_with(&f, None);
+        b.similarity_graph(&f);
         assert_eq!((stats.hits(), stats.rebuilds()), (0, 1));
         assert_eq!(stats.invalidations(), 0);
         // Same size again: pure hit.
-        b.similarity_graph_with(&f, None);
+        b.similarity_graph(&f);
         assert_eq!(stats.hits(), 1);
         // Grown block, feature function: row-append grow, not a rebuild.
         b.push(e.extract(TEXTS[3], None));
-        b.similarity_graph_with(&f, None);
+        b.similarity_graph(&f);
         assert_eq!(stats.grows(), 1);
         assert_eq!(stats.rebuilds(), 1);
         // Word-vector function: one rebuild builds the F8–F10 family, so
         // F9 and F10 are hits.
         let family = WordVectorMeasure::ALL.map(word_vector_function);
-        b.similarity_graph_with(family[0], None);
+        b.similarity_graph(family[0]);
         assert_eq!(stats.rebuilds(), 2);
-        b.similarity_graph_with(family[1], None);
-        b.similarity_graph_with(family[2], None);
+        b.similarity_graph(family[1]);
+        b.similarity_graph(family[2]);
         assert_eq!((stats.hits(), stats.rebuilds()), (3, 2));
         // Push (vectors re-weight) and rebuild: three stale entries are
         // discarded by one family build, which counts one invalidation.
         b.push(e.extract(TEXTS[4], None));
-        b.similarity_graph_with(family[1], None);
+        b.similarity_graph(family[1]);
         assert_eq!((stats.rebuilds(), stats.invalidations()), (3, 1));
-        b.similarity_graph_with(family[0], None);
-        b.similarity_graph_with(family[2], None);
+        b.similarity_graph(family[0]);
+        b.similarity_graph(family[2]);
         assert_eq!((stats.hits(), stats.rebuilds()), (5, 3));
         assert_eq!(stats.misses(), stats.grows() + stats.rebuilds());
     }
@@ -909,10 +878,28 @@ mod tests {
     fn repeated_requests_share_one_graph() {
         let b = block(TEXTS);
         let f = NearDuplicateSimilarity;
-        let first = b.similarity_graph_with(&f, None);
-        let second = b.similarity_graph_with(&f, None);
+        let first = b.similarity_graph(&f);
+        let second = b.similarity_graph(&f);
         assert!(Arc::ptr_eq(&first, &second), "a hit must not copy");
         assert_eq!((b.cache_stats().rebuilds(), b.cache_stats().hits()), (1, 1));
+    }
+
+    #[test]
+    fn the_benchmark_forward_is_the_cached_graph() {
+        let b = block(TEXTS);
+        for f in standard_suite() {
+            let graph = b.similarity_graph(f.as_ref());
+            let hits = b.cache_stats().hits();
+            let forwarded = b.similarity_graph_with(f.as_ref(), None);
+            assert!(Arc::ptr_eq(&graph, &forwarded), "{}", f.name());
+            assert_eq!(b.cache_stats().hits(), hits + 1, "{}", f.name());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "was removed")]
+    fn the_benchmark_forward_rejects_a_threshold() {
+        block(TEXTS).similarity_graph_with(&TfIdfCosine, Some(0.5));
     }
 
     #[test]
@@ -923,13 +910,13 @@ mod tests {
             b.push(e.extract(t, None));
         }
         let f = NearDuplicateSimilarity;
-        let held = b.similarity_graph_with(&f, None);
+        let held = b.similarity_graph(&f);
         b.push(e.extract(TEXTS[3], None));
-        let row = b.similarity_row_with(&f, None, 3);
+        let row = b.similarity_row(&f, 3);
         // Copy-on-write: the cache grew its own graph, the caller's handle
         // still is the three-document graph it was given.
         assert_eq!(held.len(), 3);
-        let grown = b.similarity_graph_with(&f, None);
+        let grown = b.similarity_graph(&f);
         assert_eq!(grown.len(), 4);
         assert!(!Arc::ptr_eq(&held, &grown));
         assert_eq!(grown.column(3), &row[..]);
@@ -946,20 +933,20 @@ mod tests {
             b.push(e.extract(t, None));
         }
         let f = NearDuplicateSimilarity;
-        let before = Arc::as_ptr(&b.similarity_graph_with(&f, None));
+        let before = Arc::as_ptr(&b.similarity_graph(&f));
         for t in &TEXTS[3..] {
             let doc = b.push(e.extract(t, None));
             let grows = b.cache_stats().grows();
-            let row = b.similarity_row_with(&f, None, doc);
+            let row = b.similarity_row(&f, doc);
             assert_eq!(b.cache_stats().grows(), grows + 1);
             assert_eq!(row.len(), doc);
             for (i, &v) in row.iter().enumerate() {
-                assert_eq!(v, b.pair_similarity(&f, None, i, doc), "member {i}");
+                assert_eq!(v, b.pair_similarity(&f, i, doc), "member {i}");
             }
         }
         // Nobody held a handle across the pushes, so the cache extended
         // the one allocation it had.
-        let after = b.similarity_graph_with(&f, None);
+        let after = b.similarity_graph(&f);
         assert_eq!(after.len(), TEXTS.len());
         assert_eq!(Arc::as_ptr(&after), before);
     }
@@ -968,16 +955,16 @@ mod tests {
     fn only_the_kept_word_vector_graph_survives_a_prune() {
         let b = block(TEXTS);
         for f in standard_suite() {
-            b.similarity_graph_with(f.as_ref(), None);
+            b.similarity_graph(f.as_ref());
         }
         let stats = b.cache_stats();
         // Seven feature graphs and one F8–F10 family build; F9 and F10 hit.
         assert_eq!((stats.rebuilds(), stats.hits()), (8, 2));
-        let kept = b.similarity_graph_with(&TfIdfCosine, None);
+        let kept = b.similarity_graph(&TfIdfCosine);
         b.retain_word_vector_graph("F8");
         for f in standard_suite() {
             let (rebuilds, hits) = (stats.rebuilds(), stats.hits());
-            let graph = b.similarity_graph_with(f.as_ref(), None);
+            let graph = b.similarity_graph(f.as_ref());
             if f.uses_word_vectors() && f.name() != "F8" {
                 // F8 is still current, so each dropped member is rebuilt
                 // alone when asked for.
@@ -993,48 +980,6 @@ mod tests {
         assert_eq!(stats.invalidations(), 0);
     }
 
-    #[test]
-    fn zero_threshold_prefilter_is_bit_identical_to_no_prefilter() {
-        let e = extractor();
-        let features: Vec<_> = TEXTS.iter().map(|t| e.extract(t, None)).collect();
-        let b = PreparedBlock::new("cohen", features, TfIdf::default());
-        for f in standard_suite() {
-            let exact = b.similarity_graph_with(f.as_ref(), None);
-            let filtered = b.similarity_graph_with(f.as_ref(), Some(0.0));
-            assert_eq!(exact, filtered, "{}", f.name());
-        }
-    }
-
-    #[test]
-    fn prefilter_zeroes_dissimilar_word_vector_pairs_only() {
-        let e = extractor();
-        let features: Vec<_> = [
-            "databases are fun and databases are great to study every day",
-            "databases are fun and databases are great to study every night",
-            "totally unrelated gardening prose mentioning databases once, plus weather",
-        ]
-        .iter()
-        .map(|t| e.extract(t, None))
-        .collect();
-        let b = PreparedBlock::new("cohen", features, TfIdf::default());
-        let f = TfIdfCosine;
-        // The unrelated pair shares almost no shingles: the prefilter
-        // suppresses its (nonzero) cosine.
-        assert!(b.pair_similarity(&f, None, 0, 2) > 0.0);
-        assert_eq!(b.pair_similarity(&f, Some(0.5), 0, 2), 0.0);
-        // The near-identical pair passes the filter untouched.
-        assert_eq!(
-            b.pair_similarity(&f, Some(0.5), 0, 1),
-            b.pair_similarity(&f, None, 0, 1)
-        );
-        // Feature functions are never filtered.
-        let nd = NearDuplicateSimilarity;
-        assert_eq!(
-            b.pair_similarity(&nd, Some(0.5), 0, 2),
-            b.pair_similarity(&nd, None, 0, 2)
-        );
-    }
-
     fn assert_bitwise(got: &WeightedGraph, want: &WeightedGraph, what: &str) {
         assert_eq!(got.len(), want.len(), "{what}");
         for (k, (g, w)) in got
@@ -1048,32 +993,25 @@ mod tests {
     }
 
     /// Every sweep-built F8–F10 graph of `b` equals the pair-by-pair graph,
-    /// bit for bit, for every prefilter, every thread split, and through
-    /// the cache.
+    /// bit for bit, for every thread split and through the cache.
     fn assert_sweep_matches_pairs(b: &PreparedBlock, what: &str) {
-        for prefilter in [None, Some(0.0), Some(0.5)] {
-            let pairwise: Vec<WeightedGraph> = WordVectorMeasure::ALL
-                .iter()
-                .map(|&m| {
-                    WeightedGraph::from_fn(b.len(), |i, j| {
-                        b.pair_similarity(word_vector_function(m), prefilter, i, j)
-                    })
+        let pairwise: Vec<WeightedGraph> = WordVectorMeasure::ALL
+            .iter()
+            .map(|&m| {
+                WeightedGraph::from_fn(b.len(), |i, j| {
+                    b.pair_similarity(word_vector_function(m), i, j)
                 })
-                .collect();
-            for threads in [1, 3] {
-                let swept = b.word_vector_graphs(&WordVectorMeasure::ALL, prefilter, threads);
-                for ((m, got), want) in WordVectorMeasure::ALL.iter().zip(&swept).zip(&pairwise) {
-                    assert_bitwise(
-                        got,
-                        want,
-                        &format!("{what} {m:?} {prefilter:?} threads={threads}"),
-                    );
-                }
+            })
+            .collect();
+        for threads in [1, 3] {
+            let swept = b.word_vector_graphs(&WordVectorMeasure::ALL, threads);
+            for ((m, got), want) in WordVectorMeasure::ALL.iter().zip(&swept).zip(&pairwise) {
+                assert_bitwise(got, want, &format!("{what} {m:?} threads={threads}"));
             }
-            for (&m, want) in WordVectorMeasure::ALL.iter().zip(&pairwise) {
-                let cached = b.similarity_graph_with(word_vector_function(m), prefilter);
-                assert_bitwise(&cached, want, &format!("{what} {m:?} {prefilter:?} cached"));
-            }
+        }
+        for (&m, want) in WordVectorMeasure::ALL.iter().zip(&pairwise) {
+            let cached = b.similarity_graph(word_vector_function(m));
+            assert_bitwise(&cached, want, &format!("{what} {m:?} cached"));
         }
     }
 
@@ -1173,15 +1111,13 @@ mod tests {
             let doc = b.push(e.extract(t, None));
             for m in WordVectorMeasure::ALL {
                 let f = word_vector_function(m);
-                for prefilter in [None, Some(0.5)] {
-                    let row = b.similarity_row_with(f, prefilter, doc);
-                    let graph = b.similarity_graph_with(f, prefilter);
-                    assert_eq!(row.len(), doc);
-                    for (i, (&r, &g)) in row.iter().zip(graph.column(doc)).enumerate() {
-                        let pair = b.pair_similarity(f, prefilter, i, doc);
-                        assert_eq!(r.to_bits(), g.to_bits(), "{m:?} ({i}, {doc})");
-                        assert_eq!(r.to_bits(), pair.to_bits(), "{m:?} ({i}, {doc})");
-                    }
+                let row = b.similarity_row(f, doc);
+                let graph = b.similarity_graph(f);
+                assert_eq!(row.len(), doc);
+                for (i, (&r, &g)) in row.iter().zip(graph.column(doc)).enumerate() {
+                    let pair = b.pair_similarity(f, i, doc);
+                    assert_eq!(r.to_bits(), g.to_bits(), "{m:?} ({i}, {doc})");
+                    assert_eq!(r.to_bits(), pair.to_bits(), "{m:?} ({i}, {doc})");
                 }
             }
         }

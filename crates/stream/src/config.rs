@@ -1,30 +1,17 @@
 //! Configuration of the streaming resolver and its front end.
 
 use weber_core::resolver::ResolverConfig;
-use weber_graph::incremental::Linkage;
-use weber_simfun::block::WordVectorScheme;
 
-/// How an arriving document is assigned to a cluster once its pairwise
-/// link decisions against existing members are known.
+/// How an arriving document is assigned to a cluster. There is one way:
+/// transitive closure, which [`NameState`](crate::NameState) applies
+/// directly. The type is kept only because the repo benchmark passes it to
+/// [`NameState::seed`](crate::NameState::seed); ROADMAP item 1 removes it.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum AssignmentPolicy {
     /// Union with every linked member (the paper's transitive-closure
-    /// semantics, applied online): one arrival may merge several existing
-    /// clusters. Matches what batch transitive closure produces over the
-    /// same pairwise decisions.
+    /// semantics, applied online).
     #[default]
     TransitiveClosure,
-    /// Greedy incremental clustering: combine per-member link
-    /// probabilities into one score per existing cluster with the given
-    /// linkage rule, join the best-scoring cluster if it clears
-    /// `threshold`, otherwise found a new cluster. Never merges existing
-    /// clusters (the related-work baseline of §VI, applied online).
-    Linkage {
-        /// The member-score combination rule.
-        linkage: Linkage,
-        /// Minimum combined score to join a cluster.
-        threshold: f64,
-    },
 }
 
 /// Configuration of a [`StreamResolver`](crate::StreamResolver) and the
@@ -34,10 +21,6 @@ pub struct StreamConfig {
     /// The batch resolver configuration used to train each name's decision
     /// model on its seed batch (functions, criteria, input partitioning).
     pub resolver: ResolverConfig,
-    /// Word-vector weighting for the per-name blocks.
-    pub scheme: WordVectorScheme,
-    /// Cluster-assignment policy for arriving documents.
-    pub assignment: AssignmentPolicy,
     /// Per-worker admission-queue capacity of the TCP front end, as the
     /// `health` op reports it; a full queue rejects data-plane requests
     /// with an `overloaded` response instead of blocking.
@@ -60,8 +43,6 @@ impl Default for StreamConfig {
     fn default() -> Self {
         Self {
             resolver: ResolverConfig::default(),
-            scheme: WordVectorScheme::default(),
-            assignment: AssignmentPolicy::default(),
             queue_capacity: 64,
             workers: 2,
             state_dir: None,
@@ -71,12 +52,6 @@ impl Default for StreamConfig {
 }
 
 impl StreamConfig {
-    /// Override the assignment policy.
-    pub fn with_assignment(mut self, assignment: AssignmentPolicy) -> Self {
-        self.assignment = assignment;
-        self
-    }
-
     /// Override the admission-queue capacity (clamped to at least 1).
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity.max(1);
@@ -110,7 +85,6 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let c = StreamConfig::default();
-        assert_eq!(c.assignment, AssignmentPolicy::TransitiveClosure);
         assert!(c.queue_capacity >= 1);
         assert!(c.workers >= 1);
     }

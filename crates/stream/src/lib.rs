@@ -19,8 +19,7 @@
 //!   (re-weighting earlier vectors — [`weber_simfun::block::PreparedBlock::push`]),
 //!   is scored **only against its block's members** with the trained
 //!   model, and is folded into the live partition
-//!   ([`weber_graph::OnlinePartition`]) under a configurable
-//!   [`AssignmentPolicy`];
+//!   ([`weber_graph::OnlinePartition`]) by transitive closure;
 //! - the whole thing is wrapped in a daemon ([`server`]) speaking NDJSON
 //!   over stdin/stdout or TCP — concurrent connections over one shared
 //!   resolver on the `weber-net` reactor, with bounded per-worker

@@ -3,15 +3,14 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::{Mutex, RwLock};
+use std::sync::{Arc, LockResult, Mutex, PoisonError, RwLock};
 
 use weber_core::resolver::Resolver;
 use weber_entity::{Constraint, EntityStore, MaterializeReport, MentionOrigin, TableState};
 use weber_extract::gazetteer::Gazetteer;
 use weber_extract::pipeline::Extractor;
 use weber_graph::Partition;
+use weber_simfun::block::WordVectorScheme;
 
 use crate::config::StreamConfig;
 use crate::error::StreamError;
@@ -87,6 +86,13 @@ pub struct EntityTable {
     pub constraints: usize,
     /// What the materialization pass did.
     pub report: MaterializeReport,
+}
+
+/// The guard of a lock result, even when a previous holder panicked. The
+/// network pool catches a panicking request; poisoning would turn that one
+/// failure into an error on every later request that takes the same lock.
+fn unpoisoned<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A name's live state plus its LRU stamp.
@@ -209,7 +215,7 @@ impl StreamResolver {
     pub fn health(&self) -> HealthReport {
         HealthReport {
             uptime: self.uptime(),
-            names: self.names.read().len(),
+            names: unpoisoned(self.names.read()).len(),
             queue_depth: self.metrics.queue_depth.get(),
             workers: self.config.workers,
             queue_capacity: self.config.queue_capacity,
@@ -254,8 +260,7 @@ impl StreamResolver {
             features,
             &labels,
             &self.resolver,
-            self.config.scheme,
-            self.config.assignment,
+            WordVectorScheme::default(),
             Some(Arc::clone(&self.metrics.cache)),
         )?;
         let summary = SeedSummary {
@@ -265,9 +270,7 @@ impl StreamResolver {
             criterion: state.model().criterion().label(),
             accuracy: state.model().accuracy,
         };
-        self.names
-            .write()
-            .insert(name.to_string(), NameEntry::new(state, self.tick()));
+        unpoisoned(self.names.write()).insert(name.to_string(), NameEntry::new(state, self.tick()));
         self.maybe_evict(name)?;
         self.metrics.seeds.inc();
         self.metrics.seed_us.record_since(start);
@@ -325,9 +328,9 @@ impl StreamResolver {
         entry: &Arc<NameEntry>,
         f: impl FnOnce(&mut NameState) -> T,
     ) -> Option<T> {
-        let mut state = entry.state.lock();
+        let mut state = unpoisoned(entry.state.lock());
         let is_current = matches!(
-            self.names.read().get(name), Some(current) if Arc::ptr_eq(current, entry)
+            unpoisoned(self.names.read()).get(name), Some(current) if Arc::ptr_eq(current, entry)
         );
         if !is_current {
             return None;
@@ -339,7 +342,7 @@ impl StreamResolver {
     /// The live entry for `name`, restoring it from disk on a miss when a
     /// state directory is configured.
     fn lookup_or_restore(&self, name: &str) -> Result<Arc<NameEntry>, StreamError> {
-        if let Some(entry) = self.names.read().get(name).cloned() {
+        if let Some(entry) = unpoisoned(self.names.read()).get(name).cloned() {
             entry.touched.store(self.tick(), Ordering::Relaxed);
             return Ok(entry);
         }
@@ -353,8 +356,7 @@ impl StreamResolver {
         self.metrics.restores.inc();
         let restored = NameEntry::new(state, self.tick());
         let entry = Arc::clone(
-            self.names
-                .write()
+            unpoisoned(self.names.write())
                 .entry(name.to_string())
                 // A concurrent seed/restore won the insert: keep theirs.
                 .or_insert(restored),
@@ -383,8 +385,7 @@ impl StreamResolver {
             features,
             &record.seed_labels,
             &self.resolver,
-            self.config.scheme,
-            self.config.assignment,
+            WordVectorScheme::default(),
             Some(Arc::clone(&self.metrics.cache)),
         )?;
         for doc in &record.documents[seed_count..] {
@@ -439,12 +440,12 @@ impl StreamResolver {
     pub fn persist_all(&self) -> Result<usize, StreamError> {
         let mut written = 0;
         for name in self.names() {
-            let Some(entry) = self.names.read().get(&name).cloned() else {
+            let Some(entry) = unpoisoned(self.names.read()).get(&name).cloned() else {
                 continue;
             };
-            let state = entry.state.lock();
+            let state = unpoisoned(entry.state.lock());
             let is_current = matches!(
-                self.names.read().get(&name), Some(current) if Arc::ptr_eq(current, &entry)
+                unpoisoned(self.names.read()).get(&name), Some(current) if Arc::ptr_eq(current, &entry)
             );
             if !is_current {
                 continue;
@@ -456,7 +457,7 @@ impl StreamResolver {
         // table, next to the name's clustering record (not counted in
         // the returned name count).
         if let Some(dir) = self.config.state_dir.as_deref() {
-            let tables = self.entity_tables.lock();
+            let tables = unpoisoned(self.entity_tables.lock());
             for store in tables.values() {
                 snapshot::write_entity_record(dir, &TableState::capture(store))?;
             }
@@ -473,15 +474,14 @@ impl StreamResolver {
         };
         let mut restored = 0;
         for name in snapshot::stored_names(dir)? {
-            if self.names.read().contains_key(&name) {
+            if unpoisoned(self.names.read()).contains_key(&name) {
                 continue;
             }
             let Some(record) = snapshot::read_record(dir, &name)? else {
                 continue;
             };
             let state = self.replay(&record)?;
-            self.names
-                .write()
+            unpoisoned(self.names.write())
                 .entry(name.clone())
                 .or_insert_with(|| NameEntry::new(state, self.tick()));
             self.metrics.restores.inc();
@@ -506,7 +506,7 @@ impl StreamResolver {
         };
         loop {
             let victim = {
-                let map = self.names.read();
+                let map = unpoisoned(self.names.read());
                 if map.len() <= max_names {
                     return Ok(());
                 }
@@ -519,9 +519,9 @@ impl StreamResolver {
                 // Only the protected name is live; nothing evictable.
                 return Ok(());
             };
-            let state = entry.state.lock();
+            let state = unpoisoned(entry.state.lock());
             let is_current = matches!(
-                self.names.read().get(&name), Some(current) if Arc::ptr_eq(current, &entry)
+                unpoisoned(self.names.read()).get(&name), Some(current) if Arc::ptr_eq(current, &entry)
             );
             if !is_current {
                 // Re-seeded while we were choosing it; pick a new victim.
@@ -531,7 +531,7 @@ impl StreamResolver {
             // can slip in (every apply re-checks currency under this very
             // lock), so the record is complete when the entry disappears.
             self.persist_state(&name, &state)?;
-            let mut map = self.names.write();
+            let mut map = unpoisoned(self.names.write());
             if let Some(current) = map.get(&name) {
                 if Arc::ptr_eq(current, &entry) {
                     map.remove(&name);
@@ -545,7 +545,7 @@ impl StreamResolver {
     /// was evicted); `None` when the name is unknown or unreadable.
     pub fn partition(&self, name: &str) -> Option<Partition> {
         let entry = self.lookup_or_restore(name).ok()?;
-        let state = entry.state.lock();
+        let state = unpoisoned(entry.state.lock());
         Some(state.partition())
     }
 
@@ -558,7 +558,7 @@ impl StreamResolver {
         f: impl FnOnce(&NameState) -> R,
     ) -> Result<R, StreamError> {
         let entry = self.lookup_or_restore(name)?;
-        let state = entry.state.lock();
+        let state = unpoisoned(entry.state.lock());
         Ok(f(&state))
     }
 
@@ -580,7 +580,7 @@ impl StreamResolver {
 
     /// Seeded names, sorted.
     pub fn names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.names.read().keys().cloned().collect();
+        let mut names: Vec<String> = unpoisoned(self.names.read()).keys().cloned().collect();
         names.sort();
         names
     }
@@ -589,7 +589,7 @@ impl StreamResolver {
     /// touch for eviction purposes.
     pub fn snapshot(&self) -> Snapshot {
         let handles: Vec<(String, Arc<NameEntry>)> = {
-            let map = self.names.read();
+            let map = unpoisoned(self.names.read());
             let mut v: Vec<_> = map
                 .iter()
                 .map(|(k, v)| (k.clone(), Arc::clone(v)))
@@ -600,7 +600,7 @@ impl StreamResolver {
         let names = handles
             .into_iter()
             .map(|(name, entry)| {
-                let state = entry.state.lock();
+                let state = unpoisoned(entry.state.lock());
                 NameSnapshot {
                     name,
                     docs: state.len(),
@@ -687,7 +687,7 @@ impl StreamResolver {
     /// record on first touch.
     pub fn entities(&self, name: &str) -> Result<EntityTable, StreamError> {
         let (clusters, origins, docs) = self.cluster_view(name)?;
-        let mut tables = self.entity_tables.lock();
+        let mut tables = unpoisoned(self.entity_tables.lock());
         let store = self.entity_store(&mut tables, name)?;
         Ok(self.materialize_pass(store, &clusters, &origins, docs))
     }
@@ -719,7 +719,7 @@ impl StreamResolver {
         retract: bool,
     ) -> Result<EntityTable, StreamError> {
         let (clusters, origins, docs) = self.cluster_view(name)?;
-        let mut tables = self.entity_tables.lock();
+        let mut tables = unpoisoned(self.entity_tables.lock());
         let store = self.entity_store(&mut tables, name)?;
         self.materialize_pass(store, &clusters, &origins, docs);
         if retract {
@@ -739,7 +739,7 @@ impl StreamResolver {
         action: &crate::protocol::ConstraintAction,
     ) -> Result<(bool, EntityTable), StreamError> {
         let (clusters, origins, docs) = self.cluster_view(name)?;
-        let mut tables = self.entity_tables.lock();
+        let mut tables = unpoisoned(self.entity_tables.lock());
         let store = self.entity_store(&mut tables, name)?;
         let added = match action {
             crate::protocol::ConstraintAction::Add(constraint) => {
@@ -759,7 +759,7 @@ impl StreamResolver {
     /// Register a constraint directly (embedders and tests; the wire path
     /// goes through [`constrain`](Self::constrain)).
     pub fn add_constraint(&self, name: &str, constraint: Constraint) -> Result<bool, StreamError> {
-        let mut tables = self.entity_tables.lock();
+        let mut tables = unpoisoned(self.entity_tables.lock());
         let store = self.entity_store(&mut tables, name)?;
         Ok(store.add_constraint(constraint))
     }
@@ -768,6 +768,25 @@ impl StreamResolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn locks_still_lock_after_a_holder_panicked() {
+        let mutex = Arc::new(Mutex::new(1));
+        let rwlock = Arc::new(RwLock::new(1));
+        let (m, r) = (Arc::clone(&mutex), Arc::clone(&rwlock));
+        let panicked = std::thread::spawn(move || {
+            let _m = m.lock().unwrap();
+            let _r = r.write().unwrap();
+            panic!("holder dies with both locks held");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(mutex.is_poisoned() && rwlock.is_poisoned());
+        *unpoisoned(mutex.lock()) += 1;
+        assert_eq!(*unpoisoned(mutex.lock()), 2);
+        *unpoisoned(rwlock.write()) += 1;
+        assert_eq!(*unpoisoned(rwlock.read()), 2);
+    }
 
     fn gazetteer() -> Gazetteer {
         let mut g = Gazetteer::new();
@@ -893,7 +912,7 @@ mod tests {
         let r = StreamResolver::new(StreamConfig::default(), &gazetteer()).unwrap();
         r.seed("cohen", &seed_docs()).unwrap();
         // Simulate the racer: grab the entry handle the way ingest does...
-        let orphan = r.names.read().get("cohen").cloned().unwrap();
+        let orphan = unpoisoned(r.names.read()).get("cohen").cloned().unwrap();
         // ...then a concurrent seed replaces the map entry.
         r.seed("cohen", &seed_docs()).unwrap();
         let text = "databases between lookup and lock";
@@ -911,7 +930,11 @@ mod tests {
             refused.is_none(),
             "apply must not land in an orphaned state"
         );
-        assert_eq!(orphan.state.lock().len(), 4, "orphan must be untouched");
+        assert_eq!(
+            unpoisoned(orphan.state.lock()).len(),
+            4,
+            "orphan must be untouched"
+        );
         // The public path retries and lands in the current entry.
         r.ingest("cohen", text, None).unwrap();
         assert_eq!(r.partition("cohen").unwrap().len(), 5);

@@ -42,9 +42,6 @@ pub struct TcpOptions {
     pub max_connections: usize,
     /// Evict connections silent for this long. `None` never evicts.
     pub idle_timeout: Option<Duration>,
-    /// Lines admitted but unanswered per connection before its reads
-    /// pause.
-    pub max_pipeline: usize,
 }
 
 impl Default for TcpOptions {
@@ -54,7 +51,6 @@ impl Default for TcpOptions {
             queue_capacity: 64,
             max_connections: 64,
             idle_timeout: None,
-            max_pipeline: 256,
         }
     }
 }
@@ -99,7 +95,6 @@ pub fn serve_listener(
             queue_capacity: options.queue_capacity,
             max_connections: options.max_connections.max(1),
             idle_timeout: options.idle_timeout,
-            max_pipeline: options.max_pipeline,
             registry: Some(registry),
             ..ServerOptions::default()
         },

@@ -38,14 +38,15 @@ pub struct ClusterAssignment {
 /// Seeded once from a labelled batch (which trains the decision model via
 /// best-graph selection), then grown one document at a time: each arrival
 /// joins the block-local index, is scored against every existing member
-/// with the trained model, and is folded into the live partition under the
-/// configured [`AssignmentPolicy`].
+/// with the trained model, and is folded into the live partition by
+/// transitive closure: it joins every cluster it links to, which may merge
+/// several existing clusters, exactly as batch closure over the same
+/// decisions would.
 #[derive(Debug)]
 pub struct NameState {
     block: PreparedBlock,
     model: TrainedModel,
     partition: OnlinePartition,
-    assignment: AssignmentPolicy,
     /// The seed labels, retained so the model can be re-calibrated as the
     /// block's document frequencies drift away from the seed statistics.
     supervision: Supervision,
@@ -104,6 +105,9 @@ impl NameState {
     /// The partition over the seed documents is the transitive closure of
     /// the trained model's pairwise decisions, with same-label pairs merged
     /// on top (the seed labels are ground truth for their documents).
+    ///
+    /// The last argument is the one-variant [`AssignmentPolicy`], kept only
+    /// because the repo benchmark passes it; ROADMAP item 1 removes it.
     pub fn seed(
         name: &str,
         documents: Vec<StoredDocument>,
@@ -111,18 +115,15 @@ impl NameState {
         labels: &[u32],
         resolver: &Resolver,
         scheme: WordVectorScheme,
-        assignment: AssignmentPolicy,
+        _: AssignmentPolicy,
     ) -> Result<Self, StreamError> {
-        Self::seed_observed(
-            name, documents, features, labels, resolver, scheme, assignment, None,
-        )
+        Self::seed_observed(name, documents, features, labels, resolver, scheme, None)
     }
 
     /// [`seed`](Self::seed) with optional shared similarity-cache counters
     /// attached to the block *before* training, so the seed's own layer
     /// builds are already accounted. The streaming resolver passes one
     /// instance shared across all its names.
-    #[allow(clippy::too_many_arguments)]
     pub fn seed_observed(
         name: &str,
         documents: Vec<StoredDocument>,
@@ -130,7 +131,6 @@ impl NameState {
         labels: &[u32],
         resolver: &Resolver,
         scheme: WordVectorScheme,
-        assignment: AssignmentPolicy,
         cache_stats: Option<std::sync::Arc<weber_simfun::block::CacheStats>>,
     ) -> Result<Self, StreamError> {
         if features.is_empty() {
@@ -170,7 +170,6 @@ impl NameState {
             block,
             model,
             partition,
-            assignment,
             supervision,
             resolver: resolver.clone(),
             retrain_at,
@@ -211,12 +210,9 @@ impl NameState {
     /// on the retained seed labels (document frequencies just shifted),
     /// score against every existing member, update the partition.
     ///
-    /// Under [`AssignmentPolicy::TransitiveClosure`] the state additionally
-    /// re-trains and rebuilds at doubling block sizes (see
-    /// [`NameState::checkpoint`]); the per-arrival path below handles every
-    /// document in between. The [`AssignmentPolicy::Linkage`] policy is
-    /// strictly incremental — it promises never to merge existing clusters,
-    /// which a closure rebuild could not honour.
+    /// The state additionally re-trains and rebuilds at doubling block
+    /// sizes (see [`NameState::checkpoint`]); the per-arrival path below
+    /// handles every document in between.
     pub fn ingest(
         &mut self,
         document: StoredDocument,
@@ -229,8 +225,7 @@ impl NameState {
         // never touch the vector space, so their arrivals skip the O(block)
         // TF-IDF rebuild entirely.
         let doc = self.block.push_deferred(features);
-        let checkpoint_due = matches!(self.assignment, AssignmentPolicy::TransitiveClosure)
-            && self.block.len() >= self.retrain_at;
+        let checkpoint_due = self.block.len() >= self.retrain_at;
         if checkpoint_due || self.model.uses_word_vectors() {
             self.block.ensure_vectors();
         }
@@ -263,24 +258,9 @@ impl NameState {
             self.last_refit_generation = self.block.vector_generation();
         }
         let row = self.model.similarity_row(&self.block, doc);
-        let links: Vec<usize> = match self.assignment {
-            AssignmentPolicy::TransitiveClosure => (0..doc)
-                .filter(|&j| self.model.decide_value(&self.block, doc, j, row[j]))
-                .collect(),
-            AssignmentPolicy::Linkage { linkage, threshold } => {
-                let mut best: Option<(usize, f64)> = None;
-                for members in self.partition.clusters() {
-                    let score = linkage.combine_scores(members.iter().map(|&m| {
-                        self.model
-                            .link_probability_value(&self.block, doc, m, row[m])
-                    }));
-                    if score >= threshold && best.is_none_or(|(_, b)| score > b) {
-                        best = Some((members[0], score));
-                    }
-                }
-                best.map(|(m, _)| vec![m]).unwrap_or_default()
-            }
-        };
+        let links: Vec<usize> = (0..doc)
+            .filter(|&j| self.model.decide_value(&self.block, doc, j, row[j]))
+            .collect();
         let linked_members = links.len();
         let id = self.partition.insert(links);
         debug_assert_eq!(id, doc);
@@ -400,7 +380,7 @@ mod tests {
         let stats = std::sync::Arc::clone(state.block().cache_stats());
         for f in weber_simfun::functions::standard_suite() {
             let (hits, rebuilds) = (stats.hits(), stats.rebuilds());
-            state.block().similarity_graph_with(f.as_ref(), None);
+            state.block().similarity_graph(f.as_ref());
             if f.uses_word_vectors() && f.name() != state.model().function_name() {
                 assert_eq!(stats.rebuilds(), rebuilds + 1, "{} was dropped", f.name());
             } else {
@@ -473,39 +453,5 @@ mod tests {
         assert!(a.is_new_cluster, "{a:?}");
         assert_eq!(a.cluster_size, 1);
         assert_eq!(a.linked_members, 0);
-    }
-
-    #[test]
-    fn linkage_policy_never_merges_existing_clusters() {
-        let e = extractor();
-        let texts = [
-            "databases are fun and databases are important",
-            "databases are hard but databases pay well",
-            "gardening tips for growing roses",
-            "gardening advice on pruning roses",
-        ];
-        let documents: Vec<StoredDocument> = texts.iter().map(|t| stored(t)).collect();
-        let features: Vec<PageFeatures> = texts.iter().map(|t| e.extract(t, None)).collect();
-        let resolver = Resolver::new(ResolverConfig::default()).unwrap();
-        let mut state = NameState::seed(
-            "cohen",
-            documents,
-            features,
-            &[0, 0, 1, 1],
-            &resolver,
-            WordVectorScheme::default(),
-            AssignmentPolicy::Linkage {
-                linkage: weber_graph::incremental::Linkage::Average,
-                threshold: 0.5,
-            },
-        )
-        .unwrap();
-        let before = state.cluster_count();
-        let text = "databases and gardening together";
-        state.ingest(stored(text), e.extract(text, None));
-        // Linkage assignment joins at most one cluster; the count can only
-        // stay (joined) or grow by one (new singleton).
-        assert!(state.cluster_count() >= before);
-        assert!(state.cluster_count() <= before + 1);
     }
 }

@@ -40,7 +40,7 @@ pub mod vocab;
 pub use analyzer::Analyzer;
 pub use incremental::{VectorStore, WordVectorScheme};
 pub use index::{CorpusIndex, DocId};
-pub use minhash::{near_duplicates, MinHasher};
+pub use minhash::MinHasher;
 pub use sparse::{SparseVector, WordVectorMeasure};
 pub use stem::porter_stem;
 pub use stopwords::is_stopword;

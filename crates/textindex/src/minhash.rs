@@ -1,11 +1,12 @@
-//! MinHash signatures and LSH banding for near-duplicate detection.
+//! MinHash signatures for near-duplicate detection.
 //!
 //! Web crawls contain mirrors: the same page syndicated on several hosts
 //! (the corpus generator reproduces this). Near-duplicates carry no
 //! independent evidence, so a production resolver wants to find them
 //! cheaply — MinHash estimates the Jaccard similarity of token-shingle
-//! sets in O(signature length), and LSH banding finds candidate pairs
-//! without comparing all `n²` documents.
+//! sets in O(signature length). `weber-block`'s LSH bands these
+//! signatures to find candidate pairs without comparing all `n²`
+//! documents.
 
 use crate::vocab::TermId;
 
@@ -78,55 +79,6 @@ impl MinHasher {
     }
 }
 
-/// Find candidate near-duplicate pairs by LSH banding: signatures are cut
-/// into `bands` bands; documents sharing any band hash become candidates,
-/// which are then verified against `threshold` by the signature estimate.
-///
-/// Returns verified pairs `(i, j, estimated_jaccard)` with `i < j`, sorted.
-/// `bands` must divide the signature length.
-pub fn near_duplicates(
-    signatures: &[Vec<u64>],
-    bands: usize,
-    threshold: f64,
-) -> Vec<(usize, usize, f64)> {
-    use std::collections::HashMap;
-    let Some(first) = signatures.first() else {
-        return Vec::new();
-    };
-    let k = first.len();
-    assert!(
-        bands > 0 && k % bands == 0,
-        "bands must divide the signature length"
-    );
-    let rows = k / bands;
-    let mut candidates: std::collections::BTreeSet<(usize, usize)> = Default::default();
-    for band in 0..bands {
-        let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
-        for (doc, sig) in signatures.iter().enumerate() {
-            assert_eq!(sig.len(), k, "signatures must share a scheme");
-            let mut h = 0x100001b3u64 ^ band as u64;
-            for &v in &sig[band * rows..(band + 1) * rows] {
-                h = mix(h ^ v);
-            }
-            buckets.entry(h).or_default().push(doc);
-        }
-        for bucket in buckets.values() {
-            for (x, &i) in bucket.iter().enumerate() {
-                for &j in &bucket[x + 1..] {
-                    candidates.insert((i.min(j), i.max(j)));
-                }
-            }
-        }
-    }
-    candidates
-        .into_iter()
-        .filter_map(|(i, j)| {
-            let est = MinHasher::estimated_jaccard(&signatures[i], &signatures[j]);
-            (est >= threshold).then_some((i, j, est))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,24 +117,6 @@ mod tests {
     }
 
     #[test]
-    fn near_duplicates_finds_the_mirror() {
-        let mh = MinHasher::new(64, 3, 1);
-        let original: Vec<TermId> = toks(&(0..60).collect::<Vec<_>>());
-        let mut mirror = original.clone();
-        mirror.extend(toks(&[200, 201])); // appended syndication note
-        let unrelated: Vec<TermId> = toks(&(300..360).collect::<Vec<_>>());
-        let sigs = vec![
-            mh.signature(&original),
-            mh.signature(&mirror),
-            mh.signature(&unrelated),
-        ];
-        let pairs = near_duplicates(&sigs, 16, 0.5);
-        assert_eq!(pairs.len(), 1);
-        assert_eq!((pairs[0].0, pairs[0].1), (0, 1));
-        assert!(pairs[0].2 > 0.8);
-    }
-
-    #[test]
     fn short_documents_do_not_spuriously_match() {
         let mh = MinHasher::new(32, 3, 1);
         let tiny = mh.signature(&toks(&[1]));
@@ -192,21 +126,6 @@ mod tests {
         // caller filters empty docs. Verify the sentinel shape.
         assert!(tiny.iter().all(|&v| v == u64::MAX));
         assert_eq!(MinHasher::estimated_jaccard(&tiny, &other), 1.0);
-    }
-
-    #[test]
-    fn near_duplicates_degenerate_inputs() {
-        assert!(near_duplicates(&[], 4, 0.5).is_empty());
-        let mh = MinHasher::new(16, 2, 1);
-        let one = vec![mh.signature(&toks(&[1, 2, 3]))];
-        assert!(near_duplicates(&one, 4, 0.5).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "bands must divide")]
-    fn bands_must_divide_signature() {
-        let sigs = vec![vec![0u64; 10]];
-        near_duplicates(&sigs, 3, 0.5);
     }
 
     #[test]

@@ -78,7 +78,7 @@ fn main() {
     // The accuracy-estimation machinery works on the custom function too:
     // fit k-means regions to its similarity values and print per-region
     // link-existence accuracy, exactly as Figure 1 does for F3.
-    let sims = weber::core::layers::similarity_graph(&nb.block, &LocationOverlap);
+    let sims = nb.block.similarity_graph(&LocationOverlap);
     let samples = supervision.labeled_values(|i, j| sims.get(i, j));
     let criterion = DecisionCriterion::RegionAccuracy(RegionScheme::kmeans(5));
     let fitted = criterion.fit(&samples);

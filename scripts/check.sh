@@ -3,6 +3,7 @@
 # Run from anywhere; operates on the repository root.
 # --full additionally re-runs the headline experiments and diffs them
 # against the archived results/ (scripts/results_check.sh).
+# Needs jq for the docs check.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -13,6 +14,18 @@ fi
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
+
+# Every NDJSON example in the operator's guide must parse, and every
+# request line must name an op the protocol actually has — so the runbook
+# cannot rot silently when the wire format moves.
+echo "==> docs: NDJSON examples in docs/OPERATIONS.md"
+grep '^{' docs/OPERATIONS.md | jq -e 'type == "object"' >/dev/null \
+    || { echo "docs check: an example line in docs/OPERATIONS.md is not valid JSON" >&2; exit 1; }
+known='health|seed|ingest|resolve|entities|same_as|constraint|snapshot|metrics|persist|restore|flush|shutdown|topology'
+bad=$(grep '^{' docs/OPERATIONS.md | jq -r '.op // empty' | grep -vE "^($known)$" || true)
+[[ -z "$bad" ]] || { echo "docs check: unknown op in docs/OPERATIONS.md examples: $bad" >&2; exit 1; }
+ops=$(grep '^{' docs/OPERATIONS.md | jq -r 'select(has("op") and (has("ok") | not)) | .op' | wc -l)
+[[ "$ops" -ge 3 ]] || { echo "docs check: expected at least 3 request examples, found $ops" >&2; exit 1; }
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -47,18 +60,6 @@ bash benchmark/run.sh --smoke
 if [[ $FULL -eq 1 ]]; then
     echo "==> results drift: scripts/results_check.sh"
     scripts/results_check.sh
-
-    # Every NDJSON example in the operator's guide must parse, and every
-    # request line must name an op the protocol actually has — so the
-    # runbook cannot rot silently when the wire format moves.
-    echo "==> docs: NDJSON examples in docs/OPERATIONS.md"
-    grep '^{' docs/OPERATIONS.md | jq -e 'type == "object"' >/dev/null \
-        || { echo "docs check: an example line in docs/OPERATIONS.md is not valid JSON" >&2; exit 1; }
-    known='health|seed|ingest|resolve|entities|same_as|constraint|snapshot|metrics|persist|restore|flush|shutdown|topology'
-    bad=$(grep '^{' docs/OPERATIONS.md | jq -r '.op // empty' | grep -vE "^($known)$" || true)
-    [[ -z "$bad" ]] || { echo "docs check: unknown op in docs/OPERATIONS.md examples: $bad" >&2; exit 1; }
-    ops=$(grep '^{' docs/OPERATIONS.md | jq -r 'select(has("op") and (has("ok") | not)) | .op' | wc -l)
-    [[ "$ops" -ge 3 ]] || { echo "docs check: expected at least 3 request examples, found $ops" >&2; exit 1; }
 fi
 
 echo "All checks passed."

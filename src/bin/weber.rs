@@ -12,15 +12,17 @@
 //!                [--hashes N] [--bands N] [--lsh-threshold F] [--threads N]
 //!                [--metrics-file FILE]
 //! weber serve    [--listen ADDR] [--workers N] [--queue N] [--dataset FILE]
-//!                [--max-connections N] [--idle-timeout SECS] [--max-pipeline N]
+//!                [--max-connections N] [--idle-timeout SECS]
 //!                [--state-dir DIR] [--max-names N]
 //!                [--metrics-file FILE] [--metrics-interval SECS]
 //! weber route    --backends ADDR,ADDR,... [--listen ADDR] [--replication R]
-//!                [--vnodes N] [--retries N] [--pool N]
-//!                [--probe-interval SECS] [--max-connections N]
-//!                [--workers N] [--queue N]
-//!                [--idle-timeout SECS] [--max-pipeline N]
+//!                [--retries N] [--probe-interval SECS] [--max-connections N]
+//!                [--workers N] [--queue N] [--idle-timeout SECS]
 //! ```
+//!
+//! Each subcommand accepts exactly the flags listed for it (`serve` and
+//! `route` also take `--io event`, which means nothing); an unknown or
+//! repeated flag is an error.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -55,14 +57,12 @@ USAGE:
                   [--hashes N] [--bands N] [--lsh-threshold F] [--threads N]
                   [--metrics-file FILE]
   weber serve     [--listen ADDR] [--workers N] [--queue N] [--dataset FILE]
-                  [--max-connections N] [--idle-timeout SECS] [--max-pipeline N]
+                  [--max-connections N] [--idle-timeout SECS]
                   [--state-dir DIR] [--max-names N]
                   [--metrics-file FILE] [--metrics-interval SECS]
   weber route     --backends ADDR,ADDR,... [--listen ADDR] [--replication R]
-                  [--vnodes N] [--retries N] [--pool N]
-                  [--probe-interval SECS] [--max-connections N]
-                  [--workers N] [--queue N]
-                  [--idle-timeout SECS] [--max-pipeline N]
+                  [--retries N] [--probe-interval SECS] [--max-connections N]
+                  [--workers N] [--queue N] [--idle-timeout SECS]
   weber --version | --help
 
 The resolve/experiment commands use the paper's full technique (functions
@@ -101,13 +101,13 @@ clients concurrently, up to --max-connections at once (default 64): one
 epoll reactor thread multiplexes every connection (the open-file soft
 limit is raised to the hard limit at startup), and --workers and --queue
 size the worker pool and per-worker admission queue behind it (--io
-event is still accepted and means nothing; the thread-per-connection
---io threads is gone). --idle-timeout SECS evicts silent connections (0 = never, the
-default); --max-pipeline N caps in-flight pipelined requests per
-connection (default 256) — past it the reactor stops reading that socket
-until replies drain. --state-dir DIR persists per-name state: existing records
-are restored at startup, the whole state is written back at shutdown, and
-the protocol gains explicit persist/restore ops. --max-names N (requires
+event is still accepted and means nothing). --idle-timeout SECS evicts
+silent connections (0 = never, the default). At most 256 pipelined
+requests per connection are in flight; past that the reactor stops
+reading the socket until replies drain. --state-dir DIR persists
+per-name state: existing records are restored at startup, the whole
+state is written back at shutdown, and the protocol gains explicit
+persist/restore ops. --max-names N (requires
 --state-dir) bounds live names, evicting the least-recently-touched to
 disk and restoring it transparently on its next touch. The daemon keeps
 counters, gauges and latency histograms (ingest latency, queue depth,
@@ -127,21 +127,19 @@ recovers — and the per-name reads ({\"op\":\"resolve\",\"name\":...},
 {\"op\":\"entities\",\"name\":...}) fail over across the set, so any
 R-1 dead backends leave every name readable. Per-name ops use bounded
 retries (--retries, default 2) over an asynchronous outbound pool: one
-epoll reactor multiplexes every pooled backend socket (--pool per
-backend, default 2), so a stalled backend ties up zero router threads —
+epoll reactor multiplexes every pooled backend socket (two per
+backend), so a stalled backend ties up zero router threads —
 its exchanges time out and answer \"unreachable\" while healthy shards
 keep serving; snapshot, name-less entities, metrics, persist, restore,
 flush and shutdown fan out to every backend and merge, degrading (\"degraded\":true plus the
 unreachable shard list) instead of failing when backends are down.
---vnodes N (default 64) sets the ring's virtual nodes per backend (the
-old --replicas alias is gone — it never set the replication factor).
+The ring places 64 virtual nodes per backend.
 {\"op\":\"health\"} reports the router's own probe-driven view of the
 tier; {\"op\":\"topology\",\"backends\":[...]} re-shards at runtime,
 persisting the old ring first so names migrate through a shared
 --state-dir. Backends are probed every --probe-interval seconds
 (default 1) with exponential backoff while down. The front end takes the
-same --idle-timeout / --max-pipeline / --workers / --queue tuning as
-serve.";
+same --idle-timeout / --workers / --queue tuning as serve.";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -155,18 +153,28 @@ fn main() -> ExitCode {
     }
 }
 
-/// Parse `--key value` flags after the subcommand.
-fn flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// Parse `--key value` flags after `command`, each of which must be one of
+/// the space-separated `accepted` names and appear at most once.
+fn flags(
+    command: &str,
+    accepted: &str,
+    args: &[String],
+) -> Result<HashMap<String, String>, String> {
     let mut out = HashMap::new();
     let mut it = args.iter();
     while let Some(key) = it.next() {
         let Some(name) = key.strip_prefix("--") else {
             return Err(format!("unexpected argument '{key}'"));
         };
+        if !accepted.split_whitespace().any(|flag| flag == name) {
+            return Err(format!("unknown flag --{name} for '{command}'"));
+        }
         let value = it
             .next()
             .ok_or_else(|| format!("flag --{name} needs a value"))?;
-        out.insert(name.to_string(), value.clone());
+        if out.insert(name.to_string(), value.clone()).is_some() {
+            return Err(format!("repeated flag --{name} for '{command}'"));
+        }
     }
     Ok(out)
 }
@@ -196,25 +204,39 @@ fn run(args: &[String]) -> Result<(), String> {
     let Some(command) = args.first() else {
         return Err("no command given".into());
     };
-    let flags = flags(&args[1..])?;
-    match command.as_str() {
-        "generate" => cmd_generate(&flags),
-        "stats" => cmd_stats(&flags),
-        "resolve" => cmd_resolve(&flags),
-        "experiment" => cmd_experiment(&flags),
-        "block" => cmd_block(&flags),
-        "serve" => cmd_serve(&flags),
-        "route" => cmd_route(&flags),
+    type Command = fn(&HashMap<String, String>) -> Result<(), String>;
+    // Each subcommand's accepted flags, space-separated.
+    let (run, accepted): (Command, &str) = match command.as_str() {
+        "generate" => (cmd_generate, "preset seed out"),
+        "stats" => (cmd_stats, "dataset"),
+        "resolve" => (cmd_resolve, "dataset train seed out"),
+        "experiment" => (cmd_experiment, "dataset train runs"),
+        "block" => (
+            cmd_block,
+            "corpus preset seed strategy out min-df max-df weight prune-factor \
+             hashes bands lsh-threshold threads metrics-file",
+        ),
+        "serve" => (
+            cmd_serve,
+            "listen workers queue dataset max-connections idle-timeout io \
+             state-dir max-names metrics-file metrics-interval",
+        ),
+        "route" => (
+            cmd_route,
+            "backends listen replication retries probe-interval max-connections \
+             workers queue idle-timeout io",
+        ),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
-            Ok(())
+            return Ok(());
         }
         "version" | "--version" | "-V" => {
             println!("weber {}", env!("CARGO_PKG_VERSION"));
-            Ok(())
+            return Ok(());
         }
-        other => Err(format!("unknown command '{other}'")),
-    }
+        other => return Err(format!("unknown command '{other}'")),
+    };
+    run(&flags(command, accepted, &args[1..])?)
 }
 
 fn preset_by_name(name: &str, seed: u64) -> Result<CorpusConfig, String> {
@@ -506,37 +528,23 @@ fn cmd_experiment(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Parse the shared front-end tuning flags: `--idle-timeout` (seconds,
-/// 0 = never) and `--max-pipeline`. `--io event` is accepted and ignored
-/// (the reactor is the only front end; scripts still pass the flag).
-fn front_tuning(
-    flags: &HashMap<String, String>,
-) -> Result<(Option<std::time::Duration>, usize), String> {
+/// Parse the shared front-end tuning flag `--idle-timeout` (seconds,
+/// 0 = never). `--io event` is accepted and ignored (the reactor is the
+/// only front end; scripts still pass the flag).
+fn idle_timeout(flags: &HashMap<String, String>) -> Result<Option<std::time::Duration>, String> {
     match flags.get("io").map(String::as_str) {
         None | Some("event" | "epoll") => {}
-        Some("threads" | "thread") => {
-            return Err(
-                "--io threads has been removed: the thread-per-connection front end is \
-                 gone and every listener runs the epoll reactor. Drop the flag."
-                    .into(),
-            )
-        }
         Some(other) => return Err(format!("unknown io mode '{other}' (expected 'event')")),
     }
     let idle_secs: u64 = parse(flags, "idle-timeout", 0)?;
-    let idle_timeout = (idle_secs > 0).then(|| std::time::Duration::from_secs(idle_secs));
-    let max_pipeline: usize = parse(flags, "max-pipeline", 256)?;
-    if max_pipeline == 0 {
-        return Err("--max-pipeline must be at least 1".into());
-    }
-    Ok((idle_timeout, max_pipeline))
+    Ok((idle_secs > 0).then(|| std::time::Duration::from_secs(idle_secs)))
 }
 
 fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let workers: usize = parse(flags, "workers", 2)?;
     let queue: usize = parse(flags, "queue", 64)?;
     let max_connections: usize = parse(flags, "max-connections", 64)?;
-    let (idle_timeout, max_pipeline) = front_tuning(flags)?;
+    let idle_timeout = idle_timeout(flags)?;
     let gazetteer = match flags.get("dataset") {
         Some(_) => load_dataset(flags)?.gazetteer,
         None => weber::extract::gazetteer::Gazetteer::new(),
@@ -583,7 +591,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
                 queue_capacity: queue,
                 max_connections,
                 idle_timeout,
-                max_pipeline,
             };
             serve_tcp(resolver.clone(), addr, &options).map_err(|e| e.to_string())?
         }
@@ -623,15 +630,6 @@ fn cmd_route(flags: &HashMap<String, String>) -> Result<(), String> {
     if probe_secs == 0 {
         return Err("--probe-interval must be at least 1 second".into());
     }
-    if flags.contains_key("replicas") {
-        return Err(
-            "--replicas has been removed: it set virtual nodes per backend, not the \
-             replication factor. Use --vnodes N for ring virtual nodes (what --replicas \
-             actually did), or --replication R for copies per name."
-                .into(),
-        );
-    }
-    let vnodes = parse(flags, "vnodes", 64)?;
     let replication: usize = parse(flags, "replication", 1)?;
     if replication == 0 {
         return Err("--replication must be at least 1".into());
@@ -644,20 +642,16 @@ fn cmd_route(flags: &HashMap<String, String>) -> Result<(), String> {
         );
     }
     let options = RouterOptions {
-        vnodes,
         replication,
         retries: parse(flags, "retries", 2)?,
-        pool_capacity: parse(flags, "pool", 2)?,
         probe_interval: std::time::Duration::from_secs(probe_secs),
         ..RouterOptions::default()
     };
-    let (idle_timeout, max_pipeline) = front_tuning(flags)?;
     let front = FrontOptions {
         workers: parse(flags, "workers", 4)?,
         queue_capacity: parse(flags, "queue", 256)?,
         max_connections,
-        idle_timeout,
-        max_pipeline,
+        idle_timeout: idle_timeout(flags)?,
     };
     let router =
         std::sync::Arc::new(Router::new(backends.clone(), options).map_err(|e| e.to_string())?);

@@ -124,22 +124,44 @@ fn serve_answers_every_line_of_a_replay_piped_from_a_file() {
 }
 
 #[test]
-fn io_threads_is_rejected_with_the_removal_message() {
+fn io_threads_is_rejected_as_an_unknown_io_mode() {
     for command in [
         &["serve", "--io", "threads"][..],
         &["route", "--backends", "127.0.0.1:1", "--io", "threads"],
+        &["serve", "--io", "bogus"],
     ] {
         let out = weber().args(command).output().unwrap();
         assert!(!out.status.success(), "{command:?} must fail");
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            err.contains("--io threads has been removed"),
-            "{command:?} stderr: {err}"
-        );
+        assert!(err.contains("unknown io mode"), "{command:?} stderr: {err}");
     }
-    let out = weber().args(["serve", "--io", "bogus"]).output().unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown io mode"));
+}
+
+#[test]
+fn unknown_and_repeated_flags_are_rejected_per_subcommand() {
+    let rejected = |args: &[&str], message: &str| {
+        let out = weber().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(message), "{args:?} stderr: {err}");
+    };
+    for args in [
+        "serve --vnodes 8",
+        "serve --max-pipline 8",
+        "serve --max-pipeline 8",
+        "route --backends 127.0.0.1:1 --pool 4",
+        "route --backends 127.0.0.1:1 --vnodes 8",
+        "route --backends 127.0.0.1:1 --replicas 2",
+        "stats --datset x.json",
+    ] {
+        let args: Vec<&str> = args.split(' ').collect();
+        let flag = args[args.len() - 2];
+        rejected(&args, &format!("unknown flag {flag} for '{}'", args[0]));
+    }
+    rejected(
+        &["serve", "--workers", "1", "--workers", "2"],
+        "repeated flag --workers for 'serve'",
+    );
 }
 
 #[test]

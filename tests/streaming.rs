@@ -390,8 +390,8 @@ fn incremental_similarities_match_a_batch_build() {
         assert_eq!(batch.tfidf(i), streamed.tfidf(i), "vector of doc {i}");
     }
     for f in standard_suite() {
-        let b = batch.similarity_graph_with(f.as_ref(), None);
-        let s = streamed.similarity_graph_with(f.as_ref(), None);
+        let b = batch.similarity_graph(f.as_ref());
+        let s = streamed.similarity_graph(f.as_ref());
         for (i, j, w) in b.edges() {
             assert!(
                 (w - s.get(i, j)).abs() < 1e-12,
