@@ -8,6 +8,7 @@
 //! - **region accuracy**: partition the value space, estimate per-region
 //!   link-existence accuracy, decide by region majority — the `C*` columns.
 
+use serde::{Deserialize, Serialize};
 use weber_ml::accuracy::AccuracyModel;
 use weber_ml::regions::RegionScheme;
 use weber_ml::threshold::{optimal_threshold, ThresholdFit};
@@ -77,7 +78,11 @@ impl DecisionCriterion {
 
 /// A fitted decision: maps similarity values to decisions and link
 /// probabilities.
-#[derive(Debug, Clone)]
+///
+/// Serialises exactly: every fitted value is finite, and a JSON number
+/// written by the shortest round-trip `Display` parses back to the same
+/// bits.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum FittedDecision {
     /// Fitted threshold.
     Threshold {

@@ -214,6 +214,49 @@ impl Resolver {
             selection_score: layer.selection_score,
         })
     }
+
+    /// Rebuild a persisted model: the function and criterion are looked up
+    /// by name and label in this resolver's own configuration, the rest is
+    /// taken as stored. `None` when either is not configured, or when the
+    /// fitted decision cannot belong to the criterion (region models go
+    /// with region criteria only, and must be well formed).
+    pub fn restore_model(
+        &self,
+        function: &str,
+        criterion: &str,
+        fitted: FittedDecision,
+        accuracy: f64,
+        selection_score: f64,
+    ) -> Option<TrainedModel> {
+        let config = self.config();
+        let function = config.functions.iter().find(|f| f.name() == function)?;
+        let criterion = config
+            .criteria
+            .iter()
+            .copied()
+            .chain(
+                config
+                    .input_partitioned
+                    .then_some(DecisionCriterion::InputPartitioned),
+            )
+            .find(|c| c.label() == criterion)?;
+        let consistent = match (&criterion, &fitted) {
+            (DecisionCriterion::RegionAccuracy(_), FittedDecision::Regions { model, .. }) => {
+                model.is_well_formed()
+            }
+            (DecisionCriterion::RegionAccuracy(_), _) | (_, FittedDecision::Regions { .. }) => {
+                false
+            }
+            _ => true,
+        };
+        consistent.then(|| TrainedModel {
+            function: Arc::clone(function),
+            fitted,
+            criterion,
+            accuracy,
+            selection_score,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -335,6 +378,97 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A restored model is the trained one to the bit: same decisions,
+    /// same link probabilities, same accuracy and selection score.
+    #[test]
+    fn restored_models_decide_exactly_like_the_trained_one() {
+        let (block, truth) = prepared_block();
+        let resolver = Resolver::new(ResolverConfig::default().with_input_partitioning()).unwrap();
+        for seed in 0..6 {
+            let sup = Supervision::sample_from_truth(&truth, 0.3, seed);
+            let model = resolver.train(&block, &sup).unwrap();
+            let json = serde_json::to_string(model.fitted()).unwrap();
+            let restored = resolver
+                .restore_model(
+                    model.function_name(),
+                    &model.criterion().label(),
+                    serde_json::from_str(&json).unwrap(),
+                    model.accuracy,
+                    model.selection_score,
+                )
+                .expect("the trained layer is configured");
+            assert_eq!(restored.function_name(), model.function_name());
+            assert_eq!(restored.criterion(), model.criterion());
+            assert_eq!(serde_json::to_string(restored.fitted()).unwrap(), json);
+            for i in 0..block.len() {
+                for j in (i + 1)..block.len() {
+                    assert_eq!(restored.decide(&block, i, j), model.decide(&block, i, j));
+                    assert_eq!(
+                        restored.link_probability(&block, i, j).to_bits(),
+                        model.link_probability(&block, i, j).to_bits()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fitted_values_roundtrip_json_bit_for_bit() {
+        use weber_ml::threshold::ThresholdFit;
+        // `next_up(1.0)` is the "link nothing" threshold: a value of
+        // exactly 1.0 must stay unlinked after a round trip.
+        let link_nothing = 1.0f64.next_up();
+        for threshold in [link_nothing, 0.1 + 0.2, 1.0 / 3.0, 0.0, 5e-324] {
+            let fitted = FittedDecision::InputCells {
+                present: ThresholdFit {
+                    threshold,
+                    training_accuracy: 2.0 / 3.0,
+                },
+                missing: ThresholdFit {
+                    threshold: link_nothing,
+                    training_accuracy: 0.1,
+                },
+                training_accuracy: 0.7,
+            };
+            let json = serde_json::to_string(&fitted).unwrap();
+            let back: FittedDecision = serde_json::from_str(&json).unwrap();
+            let FittedDecision::InputCells {
+                present, missing, ..
+            } = back
+            else {
+                panic!("variant changed: {json}");
+            };
+            assert_eq!(present.threshold.to_bits(), threshold.to_bits(), "{json}");
+            assert_eq!(
+                present.training_accuracy.to_bits(),
+                (2.0f64 / 3.0).to_bits()
+            );
+            assert!(!missing.decide(1.0), "{json}");
+        }
+    }
+
+    #[test]
+    fn restore_model_refuses_what_the_config_does_not_hold() {
+        let (block, truth) = prepared_block();
+        let sup = Supervision::sample_from_truth(&truth, 0.3, 1);
+        let resolver = Resolver::new(ResolverConfig::default()).unwrap();
+        let model = resolver.train(&block, &sup).unwrap();
+        let criterion = model.criterion().label();
+        let restore = |function: &str, criterion: &str, fitted: FittedDecision| {
+            resolver.restore_model(function, criterion, fitted, 0.5, 0.5)
+        };
+        assert!(restore("F99", &criterion, model.fitted().clone()).is_none());
+        assert!(restore(model.function_name(), "km99", model.fitted().clone()).is_none());
+        // Not configured: the default suite has no input-partitioned layer.
+        assert!(restore(model.function_name(), "input", model.fitted().clone()).is_none());
+        let threshold = DecisionCriterion::Threshold.fit(&[]);
+        let regions = DecisionCriterion::standard_set()[1].fit(&[]);
+        assert!(restore(model.function_name(), "eq10", threshold.clone()).is_none());
+        assert!(restore(model.function_name(), "thr", regions.clone()).is_none());
+        assert!(restore(model.function_name(), "thr", threshold).is_some());
+        assert!(restore(model.function_name(), "eq10", regions).is_some());
     }
 
     #[test]

@@ -58,6 +58,21 @@ impl OnlinePartition {
         Self { uf }
     }
 
+    /// Resume from a stored union-find forest (see
+    /// [`UnionFind::from_forest`] for what is validated). Storing the
+    /// forest rather than labels keeps every later
+    /// [`representative`](Self::representative) identical to the partition
+    /// that was stored.
+    pub fn from_forest(parent: Vec<u32>, rank: Vec<u8>) -> Result<Self, String> {
+        UnionFind::from_forest(parent, rank).map(|uf| Self { uf })
+    }
+
+    /// The union-find forest, as `(parent, rank)`:
+    /// [`from_forest`](Self::from_forest) rebuilds it exactly.
+    pub fn forest(&self) -> (&[u32], &[u8]) {
+        (self.uf.parent(), self.uf.rank())
+    }
+
     /// Number of elements inserted so far.
     pub fn len(&self) -> usize {
         self.uf.len()
@@ -195,6 +210,26 @@ mod tests {
         let mut p = OnlinePartition::from_labels(&[0, 1, 0]);
         p.insert([1]);
         assert_eq!(p.clusters(), vec![vec![0, 2], vec![1, 3]]);
+    }
+
+    #[test]
+    fn a_resumed_forest_continues_like_the_original() {
+        let mut p = OnlinePartition::new();
+        for links in [vec![], vec![0], vec![], vec![2], vec![1, 3], vec![]] {
+            p.insert(links);
+        }
+        let (parent, rank) = p.forest();
+        let mut resumed = OnlinePartition::from_forest(parent.to_vec(), rank.to_vec()).unwrap();
+        assert_eq!(resumed.partition(), p.partition());
+        assert_eq!(resumed.cluster_count(), p.cluster_count());
+        for links in [vec![5], vec![], vec![6, 0]] {
+            p.insert(links.clone());
+            resumed.insert(links);
+            let doc = p.len() - 1;
+            assert_eq!(resumed.representative(doc), p.representative(doc));
+        }
+        assert_eq!(resumed.forest(), p.forest());
+        assert!(OnlinePartition::from_forest(vec![1, 0], vec![0, 0]).is_err());
     }
 
     #[test]

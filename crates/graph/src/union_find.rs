@@ -20,6 +20,47 @@ impl UnionFind {
         }
     }
 
+    /// Rebuild a forest from its `parent` and `rank` arrays, as
+    /// [`parent`](Self::parent) and [`rank`](Self::rank) read them out.
+    ///
+    /// Validates before it builds: equal lengths, every parent in range,
+    /// and a rank that strictly grows from every non-root to its parent.
+    /// Union by rank and path compression both keep that last invariant,
+    /// and it rules out cycles, so [`find`](Self::find) on the result
+    /// always terminates.
+    pub fn from_forest(parent: Vec<u32>, rank: Vec<u8>) -> Result<Self, String> {
+        let n = parent.len();
+        if rank.len() != n {
+            return Err(format!("{n} parents but {} ranks", rank.len()));
+        }
+        let mut sets = 0;
+        for (i, &p) in parent.iter().enumerate() {
+            let p = p as usize;
+            if p >= n {
+                return Err(format!("parent {p} of element {i} is out of range (< {n})"));
+            }
+            if p == i {
+                sets += 1;
+            } else if rank[p] <= rank[i] {
+                return Err(format!(
+                    "rank {} of element {i} is not below its parent {p}'s rank {}",
+                    rank[i], rank[p]
+                ));
+            }
+        }
+        Ok(Self { parent, rank, sets })
+    }
+
+    /// Each element's parent pointer (roots point at themselves).
+    pub fn parent(&self) -> &[u32] {
+        &self.parent
+    }
+
+    /// Each element's union-by-rank rank.
+    pub fn rank(&self) -> &[u8] {
+        &self.rank
+    }
+
     /// Number of elements.
     pub fn len(&self) -> usize {
         self.parent.len()
@@ -181,6 +222,34 @@ mod tests {
         let snap = uf.to_partition();
         assert_eq!(uf.find_readonly(3), uf.find(3));
         assert_eq!(snap, uf.into_partition());
+    }
+
+    #[test]
+    fn forests_roundtrip_and_keep_their_roots() {
+        let mut uf = UnionFind::new(7);
+        for (a, b) in [(0, 1), (2, 3), (1, 3), (5, 6), (4, 6)] {
+            uf.union(a, b);
+        }
+        uf.find(3);
+        let mut back = UnionFind::from_forest(uf.parent().to_vec(), uf.rank().to_vec()).unwrap();
+        assert_eq!(back.set_count(), uf.set_count());
+        assert_eq!(back.parent(), uf.parent());
+        // Later unions pick the same roots on both.
+        assert_eq!(back.union(0, 5), uf.union(0, 5));
+        assert_eq!(back.parent(), uf.parent());
+        assert_eq!(back.rank(), uf.rank());
+    }
+
+    #[test]
+    fn hostile_forests_are_rejected() {
+        let err =
+            |parent: Vec<u32>, rank: Vec<u8>| UnionFind::from_forest(parent, rank).unwrap_err();
+        assert!(err(vec![0, 0], vec![1]).contains("ranks"));
+        assert!(err(vec![0, 2], vec![0, 0]).contains("out of range"));
+        // A two-cycle cannot satisfy strictly growing ranks.
+        assert!(err(vec![1, 0], vec![0, 1]).contains("rank"));
+        assert!(err(vec![0, 0], vec![0, 0]).contains("rank"));
+        assert_eq!(UnionFind::from_forest(vec![], vec![]).unwrap().len(), 0);
     }
 
     #[test]

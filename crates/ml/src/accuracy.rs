@@ -7,11 +7,13 @@
 //! representing link existence. If this value is lower than 0.5 then it
 //! suggests that the majority pairs should not be considered as a link."
 
+use serde::{Deserialize, Serialize};
+
 use crate::regions::Regions;
 use crate::LabeledValue;
 
 /// A fitted accuracy model: link-existence probability per value region.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AccuracyModel {
     regions: Regions,
     /// Estimated probability of link existence per region.
@@ -104,6 +106,18 @@ impl AccuracyModel {
     /// The overall link rate of the training sample.
     pub fn global_rate(&self) -> f64 {
         self.global_rate
+    }
+
+    /// True when the parts agree in shape: at least one region, one more
+    /// boundary than regions, and one rate and one support count per
+    /// region. A fitted model always is; a decoded one must be checked
+    /// before use, because every lookup indexes by region.
+    pub fn is_well_formed(&self) -> bool {
+        let k = self.regions.representatives().len();
+        k > 0
+            && self.regions.boundaries().len() == k + 1
+            && self.link_rate.len() == k
+            && self.support.len() == k
     }
 
     /// Overall training accuracy of this model's decisions: the fraction of
@@ -209,6 +223,26 @@ mod tests {
         let m = AccuracyModel::fit(regions, &samples);
         assert_eq!(m.link_probability(0.96), 1.0);
         assert_eq!(m.link_probability(0.05), 0.0);
+    }
+
+    #[test]
+    fn json_roundtrip_is_exact_and_shape_is_checked() {
+        let samples: Vec<_> = (0..30)
+            .map(|i| lv((i as f64).sqrt() / 6.0, i % 4 == 0))
+            .collect();
+        let values: Vec<f64> = samples.iter().map(|s| s.value).collect();
+        let m = AccuracyModel::fit(RegionScheme::kmeans(5).fit(&values), &samples);
+        assert!(m.is_well_formed());
+        let back: AccuracyModel =
+            serde_json::from_str(&serde_json::to_string(&m).unwrap()).unwrap();
+        assert_eq!(back, m);
+        let mut value = serde_json::to_value(&m).unwrap();
+        if let serde::Value::Object(fields) = &mut value {
+            fields.retain(|(k, _)| k != "support");
+            fields.push(("support".into(), serde::Value::Array(Vec::new())));
+        }
+        let short: AccuracyModel = serde_json::from_value(&value).unwrap();
+        assert!(!short.is_well_formed());
     }
 
     #[test]

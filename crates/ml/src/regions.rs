@@ -8,6 +8,8 @@
 //!    cluster centres, i.e. intervals split at midpoints between
 //!    consecutive centres.
 
+use serde::{Deserialize, Serialize};
+
 use crate::kmeans::kmeans_1d;
 
 /// How to carve `[0, 1]` into regions.
@@ -58,7 +60,7 @@ impl RegionScheme {
 /// Region `i` is `[boundaries[i], boundaries[i+1])`, except the last, which
 /// is closed on the right so 1.0 is covered. `boundaries` always starts at
 /// 0.0 and ends at 1.0.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Regions {
     boundaries: Vec<f64>,
     /// Representative value per region (interval midpoint or k-means

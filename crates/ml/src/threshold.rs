@@ -4,10 +4,12 @@
 //! from a small training sample … We have chosen a threshold, which — based
 //! on the training set — maximizes the number of correct decisions."
 
+use serde::{Deserialize, Serialize};
+
 use crate::LabeledValue;
 
 /// A fitted threshold and its training statistics.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ThresholdFit {
     /// Decide "link" iff `value >= threshold`.
     pub threshold: f64,

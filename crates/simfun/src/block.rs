@@ -722,13 +722,18 @@ mod tests {
             // built in one shot on the batch path: bit-identical.
             assert_eq!(grown.tfidf(i), batch.tfidf(i));
         }
-        // And the full similarity engine agrees, for every function.
-        for f in standard_suite() {
+        // And the full similarity engine agrees bit for bit, for every
+        // function: a restored stream builds in one shot the block a live
+        // one grew, and must score every later arrival identically.
+        let suite = standard_suite();
+        assert_eq!(suite.len(), 10);
+        for f in suite {
             let gg = grown.similarity_graph(f.as_ref());
             let bg = batch.similarity_graph(f.as_ref());
             for (i, j, w) in bg.edges() {
-                assert!(
-                    (gg.get(i, j) - w).abs() < 1e-12,
+                assert_eq!(
+                    gg.get(i, j).to_bits(),
+                    w.to_bits(),
                     "{} diverged at ({i},{j})",
                     f.name()
                 );

@@ -35,8 +35,9 @@ pub enum StreamError {
     /// directory, unparseable file).
     Persistence(String),
     /// A persisted state file was recognisably wrong — bad magic, wrong
-    /// version, or a replay that did not reproduce the recorded partition —
-    /// and was rejected rather than misread.
+    /// version, a digest that does not match its content, a forest that
+    /// disagrees with its labels, or a replay that did not reproduce the
+    /// recorded partition — and was rejected rather than misread.
     SnapshotRejected(String),
     /// A `same_as` operation referenced an entity or link that does not
     /// exist in the name's canonical entity table.

@@ -26,8 +26,10 @@
 //!   admission queues and explicit `overloaded` backpressure; every line
 //!   executes through [`service::process_line`];
 //! - per-name state optionally **persists** to a state directory as
-//!   atomic, versioned records (`persist`/`restore` ops, replay-based
-//!   restore) and an LRU bound (`max_names`) **evicts** cold names to
+//!   atomic, durable, versioned records (`persist`/`restore` ops; a
+//!   restore adopts the stored model and partition and replays only
+//!   records it cannot adopt) and an LRU bound (`max_names`) **evicts**
+//!   cold names to
 //!   disk, restoring them transparently on their next touch
 //!   ([`snapshot`], [`resolver`]);
 //! - above the partition sits the **canonical entity layer**

@@ -36,8 +36,13 @@ pub struct StreamMetrics {
     pub retrains: Arc<Counter>,
     /// Names evicted to disk by the LRU bound.
     pub evictions: Arc<Counter>,
-    /// Names restored from disk (lazy touch or explicit `restore`).
+    /// Names restored from disk (lazy touch or explicit `restore`),
+    /// counted once per state the resolver actually serves.
     pub restores: Arc<Counter>,
+    /// The subset of `restores` that replayed a record's history instead
+    /// of adopting its live state (version-1 records, or records written
+    /// under another configuration).
+    pub restore_replays: Arc<Counter>,
     /// Name records written to the state directory.
     pub persists: Arc<Counter>,
     /// Request lines queued for the TCP front end's workers and not yet
@@ -85,6 +90,7 @@ impl StreamMetrics {
             retrains: s.counter("retrains"),
             evictions: s.counter("evictions"),
             restores: s.counter("restores"),
+            restore_replays: s.counter("restore_replays"),
             persists: s.counter("persists"),
             queue_depth: registry.gauge(weber_net::QUEUE_DEPTH_GAUGE),
             cache: Arc::new(CacheStats::new()),

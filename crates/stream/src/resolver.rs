@@ -1,5 +1,14 @@
 //! The streaming resolver: thread-safe per-name state behind one façade,
 //! with optional disk persistence and LRU eviction of cold names.
+//!
+//! Restoring a name costs O(documents), not O(history). A version-2
+//! record written under the running configuration is *adopted*: its
+//! documents are re-extracted into a block built in one shot, and the
+//! fitted model and partition forest are taken as stored. Only a
+//! version-1 record, or one whose configuration fingerprint or model does
+//! not match, is *replayed* through seed and every ingest and then
+//! verified. Similarity graphs are not warmed on either path: the selected
+//! function's graph builds on the name's first arrival after the restore.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -9,14 +18,15 @@ use weber_core::resolver::Resolver;
 use weber_entity::{Constraint, EntityStore, MaterializeReport, MentionOrigin, TableState};
 use weber_extract::gazetteer::Gazetteer;
 use weber_extract::pipeline::Extractor;
-use weber_graph::Partition;
-use weber_simfun::block::WordVectorScheme;
+use weber_graph::{OnlinePartition, Partition};
+use weber_simfun::block::{PreparedBlock, WordVectorScheme};
 
 use crate::config::StreamConfig;
 use crate::error::StreamError;
 use crate::metrics::StreamMetrics;
 use crate::snapshot::{
-    self, NameRecord, NameSnapshot, Snapshot, StoredDocument, STATE_FILE_MAGIC, STATE_FILE_VERSION,
+    self, LiveState, NameRecord, NameSnapshot, Snapshot, StoredDocument, StoredForest, StoredModel,
+    STATE_FILE_MAGIC, STATE_FILE_VERSION,
 };
 use crate::state::{ClusterAssignment, NameState};
 
@@ -132,12 +142,13 @@ impl NameEntry {
 /// least-recently-touched when the bound is exceeded; evicted names
 /// restore transparently on their next touch.
 ///
-/// Restore *replays* the recorded documents through the deterministic
-/// seed/ingest pipeline rather than deserialising model internals (term
-/// ids are interned in a process-global vocabulary, so raw vectors would
-/// not survive a restart), then verifies the replayed partition and model
-/// selection against the record; any divergence — config drift, a stale
-/// or foreign file — rejects the file with
+/// Restore adopts a record's stored model and partition forest and
+/// re-extracts its documents (term ids are interned in a per-resolver
+/// vocabulary, so stored vectors would not survive a restart). A record it
+/// cannot adopt — version 1, or written under another configuration — is
+/// *replayed* through the deterministic seed/ingest pipeline and verified
+/// against the recorded partition and model selection. A record that is
+/// damaged, inconsistent, or whose replay diverges is rejected with
 /// [`StreamError::SnapshotRejected`].
 ///
 /// # Locking discipline
@@ -151,6 +162,10 @@ pub struct StreamResolver {
     extractor: Extractor,
     resolver: Resolver,
     config: StreamConfig,
+    /// Hex FNV-1a over the resolver configuration, the word-vector scheme
+    /// and the gazetteer: the live state of a record carrying another
+    /// fingerprint was computed differently and is replayed, not adopted.
+    fingerprint: String,
     names: RwLock<HashMap<String, Arc<NameEntry>>>,
     /// Monotone source of LRU stamps.
     clock: AtomicU64,
@@ -192,10 +207,18 @@ impl StreamResolver {
             ));
         }
         let resolver = Resolver::new(config.resolver.clone())?;
+        let gazetteer_json = serde_json::to_string(gazetteer)
+            .map_err(|e| StreamError::Persistence(format!("cannot encode the gazetteer: {e}")))?;
+        let fingerprint = snapshot::fingerprint(&[
+            &format!("{:?}", config.resolver),
+            &format!("{:?}", WordVectorScheme::default()),
+            &gazetteer_json,
+        ]);
         Ok(Self {
             extractor: Extractor::new(gazetteer),
             resolver,
             config,
+            fingerprint,
             names: RwLock::new(HashMap::new()),
             clock: AtomicU64::new(0),
             started: std::time::Instant::now(),
@@ -352,17 +375,100 @@ impl StreamResolver {
         let Some(record) = snapshot::read_record(dir, name)? else {
             return Err(StreamError::UnknownName(name.to_string()));
         };
-        let state = self.replay(&record)?;
-        self.metrics.restores.inc();
+        Ok(self.install_restored(&record)?.0)
+    }
+
+    /// Restore `record` — adopt its live state when it can be, replay its
+    /// history otherwise — and serve it under its name, unless a
+    /// concurrent seed or restore inserted the name first, in which case
+    /// theirs is kept. Returns the entry the map serves and whether it is
+    /// this restore's; only then does the restore count.
+    fn install_restored(&self, record: &NameRecord) -> Result<(Arc<NameEntry>, bool), StreamError> {
+        let (state, replayed) = match self.adopt(record)? {
+            Some(state) => (state, false),
+            None => (self.replay(record)?, true),
+        };
         let restored = NameEntry::new(state, self.tick());
         let entry = Arc::clone(
             unpoisoned(self.names.write())
-                .entry(name.to_string())
-                // A concurrent seed/restore won the insert: keep theirs.
-                .or_insert(restored),
+                .entry(record.name.clone())
+                .or_insert_with(|| Arc::clone(&restored)),
         );
-        self.maybe_evict(name)?;
-        Ok(entry)
+        let installed = Arc::ptr_eq(&entry, &restored);
+        if installed {
+            self.metrics.restores.inc();
+            if replayed {
+                self.metrics.restore_replays.inc();
+            }
+        }
+        self.maybe_evict(&record.name)?;
+        Ok((entry, installed))
+    }
+
+    /// Adopt a version-2 record's live state: validate the forest against
+    /// the documents and the recorded labels, re-extract the documents,
+    /// build the block in one shot, and take model, forest and checkpoint
+    /// schedule as stored. `Ok(None)` when the record must be replayed
+    /// instead: it has no live state (version 1), it was written under
+    /// another configuration, or its model is not one this configuration
+    /// can produce.
+    fn adopt(&self, record: &NameRecord) -> Result<Option<NameState>, StreamError> {
+        let Some(live) = &record.live else {
+            return Ok(None);
+        };
+        if live.config_fingerprint != self.fingerprint {
+            return Ok(None);
+        }
+        let Some(model) = self.resolver.restore_model(
+            &record.function,
+            &record.criterion,
+            live.model.fitted.clone(),
+            live.model.accuracy,
+            live.model.selection_score,
+        ) else {
+            return Ok(None);
+        };
+        let rejected = |why: String| {
+            StreamError::SnapshotRejected(format!("record for '{}': {why}", record.name))
+        };
+        let n = record.documents.len();
+        let partition =
+            OnlinePartition::from_forest(live.forest.parent.clone(), live.forest.rank.clone())
+                .map_err(rejected)?;
+        if partition.len() != n {
+            return Err(rejected(format!(
+                "a forest over {} documents for {n} documents",
+                partition.len()
+            )));
+        }
+        if partition.partition().labels() != record.partition.as_slice() {
+            return Err(rejected(
+                "the forest's clusters differ from the recorded partition".into(),
+            ));
+        }
+        if live.retrain_at <= n {
+            return Err(rejected(format!(
+                "next checkpoint at {} documents, but {n} are held",
+                live.retrain_at
+            )));
+        }
+        let features = record
+            .documents
+            .iter()
+            .map(|d| self.extractor.extract(&d.text, d.url.as_deref()))
+            .collect();
+        let mut block =
+            PreparedBlock::with_scheme(&record.name, features, WordVectorScheme::default());
+        block.set_cache_stats(Arc::clone(&self.metrics.cache));
+        Ok(Some(NameState::adopt(
+            block,
+            model,
+            partition,
+            record.documents.clone(),
+            record.seed_labels.clone(),
+            &self.resolver,
+            live.retrain_at,
+        )))
     }
 
     /// Rebuild a name's state from its persisted record by replaying the
@@ -418,15 +524,30 @@ impl StreamResolver {
             .state_dir
             .as_deref()
             .ok_or_else(|| StreamError::Persistence("no state directory configured".into()))?;
+        let model = state.model();
+        let (parent, rank) = state.forest();
         let record = NameRecord {
             magic: STATE_FILE_MAGIC.to_string(),
             version: STATE_FILE_VERSION,
             name: name.to_string(),
             seed_labels: state.seed_labels().to_vec(),
             documents: state.documents().to_vec(),
-            function: state.model().function_name().to_string(),
-            criterion: state.model().criterion().label(),
+            function: model.function_name().to_string(),
+            criterion: model.criterion().label(),
             partition: state.partition().labels().to_vec(),
+            live: Some(LiveState {
+                model: StoredModel {
+                    fitted: model.fitted().clone(),
+                    accuracy: model.accuracy,
+                    selection_score: model.selection_score,
+                },
+                forest: StoredForest {
+                    parent: parent.to_vec(),
+                    rank: rank.to_vec(),
+                },
+                retrain_at: state.retrain_at(),
+                config_fingerprint: self.fingerprint.clone(),
+            }),
         };
         snapshot::write_record(dir, &record)?;
         self.metrics.persists.inc();
@@ -466,8 +587,11 @@ impl StreamResolver {
     }
 
     /// Restore every name recorded in the state directory that is not
-    /// already live; returns how many were restored. A resolver without a
-    /// state directory restores nothing.
+    /// already live; returns how many were restored (the
+    /// `stream.restore_replays` counter says how many of those replayed).
+    /// A resolver without a state directory restores nothing. Sequential:
+    /// extraction holds the analyzer's vocabulary lock, so restoring names
+    /// in parallel would not overlap the work.
     pub fn restore_all(&self) -> Result<usize, StreamError> {
         let Some(dir) = self.config.state_dir.as_deref() else {
             return Ok(0);
@@ -480,13 +604,9 @@ impl StreamResolver {
             let Some(record) = snapshot::read_record(dir, &name)? else {
                 continue;
             };
-            let state = self.replay(&record)?;
-            unpoisoned(self.names.write())
-                .entry(name.clone())
-                .or_insert_with(|| NameEntry::new(state, self.tick()));
-            self.metrics.restores.inc();
-            restored += 1;
-            self.maybe_evict(&name)?;
+            if self.install_restored(&record)?.1 {
+                restored += 1;
+            }
         }
         Ok(restored)
     }
@@ -1191,6 +1311,76 @@ mod tests {
         assert_eq!(table.constraints, 1);
         assert_eq!(table.report.retained_ids, ids_before.len());
         assert_eq!(table.report.fresh_ids, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Adoption takes as stored what a replay recomputes: both paths reach
+    /// the same forest, selection and model bits from one record.
+    #[test]
+    fn adopt_and_replay_of_one_record_agree() {
+        let dataset = weber_corpus::generate(&weber_corpus::presets::tiny(8));
+        let block = &dataset.blocks[0];
+        let name = block.query_name.as_str();
+        let dir = temp_dir("adopt_vs_replay");
+        let config = StreamConfig::default().with_state_dir(&dir);
+        let fresh = || StreamResolver::new(config.clone(), &dataset.gazetteer).unwrap();
+        {
+            let r = fresh();
+            let seed: Vec<SeedDocument> = (0..8)
+                .map(|i| SeedDocument {
+                    text: block.documents[i].text.clone(),
+                    url: block.documents[i].url.clone(),
+                    label: block.truth_labels[i],
+                })
+                .collect();
+            r.seed(name, &seed).unwrap();
+            let retrains = (8..block.len())
+                .filter(|&i| {
+                    let d = &block.documents[i];
+                    r.ingest(name, &d.text, d.url.as_deref()).unwrap().retrained
+                })
+                .count();
+            assert_eq!(retrains, 1, "the record is past a checkpoint");
+            r.persist_all().unwrap();
+        }
+        let record = snapshot::read_record(&dir, name).unwrap().unwrap();
+        let adopted = fresh()
+            .adopt(&record)
+            .unwrap()
+            .expect("a record of the same configuration adopts");
+        let replayed = fresh().replay(&record).unwrap();
+        assert_eq!(adopted.partition().labels(), record.partition.as_slice());
+        assert_eq!(adopted.forest(), replayed.forest());
+        assert_eq!(adopted.retrain_at(), replayed.retrain_at());
+        let (a, b) = (adopted.model(), replayed.model());
+        assert_eq!(a.function_name(), b.function_name());
+        assert_eq!(a.criterion(), b.criterion());
+        assert_eq!(a.fitted(), b.fitted());
+        assert_eq!(a.accuracy.to_bits(), b.accuracy.to_bits());
+        assert_eq!(a.selection_score.to_bits(), b.selection_score.to_bits());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A restore that loses the insert race to a concurrent seed or
+    /// restore serves the winner's state and is not counted.
+    #[test]
+    fn only_the_served_restore_is_counted() {
+        let dir = temp_dir("restore_count");
+        let config = StreamConfig::default().with_state_dir(&dir);
+        {
+            let r = StreamResolver::new(config.clone(), &gazetteer()).unwrap();
+            r.seed("cohen", &seed_docs()).unwrap();
+            r.persist_all().unwrap();
+        }
+        let r = StreamResolver::new(config, &gazetteer()).unwrap();
+        let record = snapshot::read_record(&dir, "cohen").unwrap().unwrap();
+        // The winner: a seed lands between the record read and the insert.
+        r.seed("cohen", &seed_docs()[..3]).unwrap();
+        let (entry, installed) = r.install_restored(&record).unwrap();
+        assert!(!installed);
+        assert_eq!(unpoisoned(entry.state.lock()).len(), 3, "the seed is kept");
+        assert_eq!(r.metrics.restores.get(), 0);
+        assert_eq!(r.restore_all().unwrap(), 0, "a live name is not restored");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -55,9 +55,9 @@ pub struct NameState {
     /// Block size at which the next checkpoint rebuild runs.
     retrain_at: usize,
     /// The raw documents, in block order (seed batch first). Retained as
-    /// the durable form of the state: feature vectors reference term ids
-    /// interned in a process-global vocabulary, so persistence stores the
-    /// documents and restore replays them through extraction.
+    /// the durable form of the features: feature vectors reference term
+    /// ids interned in the resolver's own vocabulary, so persistence
+    /// stores the documents and restore re-extracts them.
     documents: Vec<StoredDocument>,
     /// The seed batch's entity labels (documents `0..seed_labels.len()`).
     seed_labels: Vec<u32>,
@@ -68,6 +68,17 @@ pub struct NameState {
     /// changed; feature-based functions are immutable per document, so
     /// their refit is a fixed point and is skipped.
     last_refit_generation: u64,
+}
+
+/// The seed labels as supervision over documents `0..labels.len()`.
+fn seed_supervision(labels: &[u32]) -> Supervision {
+    Supervision::new(
+        labels
+            .iter()
+            .enumerate()
+            .map(|(i, &l)| (i, l))
+            .collect::<HashMap<_, _>>(),
+    )
 }
 
 /// Transitive closure of the model's pairwise decisions over the whole
@@ -150,13 +161,7 @@ impl NameState {
         if let Some(stats) = cache_stats {
             block.set_cache_stats(stats);
         }
-        let supervision = Supervision::new(
-            labels
-                .iter()
-                .enumerate()
-                .map(|(i, &l)| (i, l))
-                .collect::<HashMap<_, _>>(),
-        );
+        let supervision = seed_supervision(labels);
         let model = resolver.train(&block, &supervision)?;
         let partition = closure_partition(&block, &model, &supervision);
         // Training left a word-vector graph in the block's cache for every
@@ -177,6 +182,44 @@ impl NameState {
             seed_labels,
             last_refit_generation,
         })
+    }
+
+    /// Resume a persisted state without replaying the history that
+    /// produced it: `block` is rebuilt in one shot from the stored
+    /// documents, and `model`, `partition` and `retrain_at` are taken as
+    /// stored. Valid because everything the next arrival reads is a
+    /// function of the documents (the block's vectors equal an
+    /// incrementally grown block's bit for bit) or is stored exactly. The
+    /// model counts as fitted at the block's current vector generation,
+    /// which is where the live state last refitted it.
+    ///
+    /// The caller has checked that block, documents and partition agree
+    /// in length and that the seed labels cover a prefix of the block.
+    /// No similarity graph is warmed: the selected function's builds on
+    /// the first arrival.
+    pub fn adopt(
+        block: PreparedBlock,
+        model: TrainedModel,
+        partition: OnlinePartition,
+        documents: Vec<StoredDocument>,
+        seed_labels: Vec<u32>,
+        resolver: &Resolver,
+        retrain_at: usize,
+    ) -> Self {
+        debug_assert_eq!(block.len(), partition.len());
+        debug_assert_eq!(block.len(), documents.len());
+        let last_refit_generation = block.vector_generation();
+        Self {
+            block,
+            model,
+            partition,
+            supervision: seed_supervision(&seed_labels),
+            resolver: resolver.clone(),
+            retrain_at,
+            documents,
+            seed_labels,
+            last_refit_generation,
+        }
     }
 
     /// Checkpoint: re-run full best-graph training on the grown block and
@@ -293,6 +336,16 @@ impl NameState {
     /// Snapshot of the live partition (canonical first-occurrence labels).
     pub fn partition(&self) -> Partition {
         self.partition.partition()
+    }
+
+    /// The live partition's union-find forest, as `(parent, rank)`.
+    pub fn forest(&self) -> (&[u32], &[u8]) {
+        self.partition.forest()
+    }
+
+    /// Block size at which the next checkpoint retrain runs.
+    pub fn retrain_at(&self) -> usize {
+        self.retrain_at
     }
 
     /// The trained decision model.

@@ -105,7 +105,8 @@ event is still accepted and means nothing). --idle-timeout SECS evicts
 silent connections (0 = never, the default). At most 256 pipelined
 requests per connection are in flight; past that the reactor stops
 reading the socket until replies drain. --state-dir DIR persists
-per-name state: existing records are restored at startup, the whole
+per-name state: existing records are restored at startup (stderr
+says how many had to be replayed rather than adopted), the whole
 state is written back at shutdown, and the protocol gains explicit
 persist/restore ops. --max-names N (requires
 --state-dir) bounds live names, evicting the least-recently-touched to
@@ -563,7 +564,8 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     if let Some(dir) = flags.get("state-dir") {
         let restored = resolver.restore_all().map_err(|e| e.to_string())?;
         if restored > 0 {
-            eprintln!("restored {restored} names from {dir}");
+            let replayed = resolver.metrics().restore_replays.get();
+            eprintln!("restored {restored} names from {dir} ({replayed} replayed)");
         }
     }
     let dumper = match flags.get("metrics-file") {

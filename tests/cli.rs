@@ -205,8 +205,16 @@ fn serve_state_dir_survives_a_daemon_restart() {
         "\n",
     ));
     assert!(stderr.contains("persisted 1 names"), "stderr: {stderr}");
-    // Second lifetime: the state is restored at startup, so the name
-    // answers a snapshot with all four documents without being re-seeded.
+    let record = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.to_string_lossy().ends_with(".state.json"))
+        .expect("a state record");
+    let json = std::fs::read_to_string(record).unwrap();
+    assert!(json.contains(r#""version":2"#), "{json}");
+    // Second lifetime: the state is restored at startup — adopted, not
+    // replayed — so the name answers a snapshot with all four documents
+    // without being re-seeded.
     let (stdout, stderr) = run(concat!(
         r#"{"op":"snapshot"}"#,
         "\n",
@@ -214,6 +222,7 @@ fn serve_state_dir_survives_a_daemon_restart() {
         "\n"
     ));
     assert!(stderr.contains("restored 1 names"), "stderr: {stderr}");
+    assert!(stderr.contains("(0 replayed)"), "stderr: {stderr}");
     let snapshot = stdout.lines().next().unwrap();
     assert!(snapshot.contains("cohen"), "{snapshot}");
     assert!(snapshot.contains(r#""docs":4"#), "{snapshot}");
