@@ -15,11 +15,11 @@
 //! * [`WorkerPool`] — bounded per-worker FIFO queues with sticky
 //!   data-plane routing and never-shed control lines.
 //! * [`serve`] + [`NdjsonService`] — the reactor loop itself: accept,
-//!   frame, classify, dispatch, reorder, flush, evict, drain.
+//!   frame, parse once, dispatch, reorder, flush, evict, drain.
 //! * [`serve_lines`] — the same service behind one blocking connection
 //!   (stdin/stdout): read a line, answer it, read the next.
 //!
-//! A serving tier implements [`NdjsonService`] (classify + process) and
+//! A serving tier implements [`NdjsonService`] (parse + process) and
 //! gets one reactor thread for every connection, with per-connection
 //! reply ordering, for free. Both `weber serve` and `weber route`
 //! execute every request line through it, on TCP and on stdio alike.
@@ -36,6 +36,6 @@ pub use poller::{
 };
 pub use pool::{Completion, CompletionSender, Dispatch, RouteClass, WorkerPool};
 pub use server::{
-    serve, serve_lines, NdjsonService, Reply, Responder, ServerOptions, MAX_PIPELINE,
-    QUEUE_DEPTH_GAUGE,
+    serve, serve_lines, NdjsonService, Parsed, Responder, ServerOptions, MAX_PIPELINE,
+    QUEUE_CAPACITY_GAUGE, QUEUE_DEPTH_GAUGE, WORKERS_GAUGE,
 };

@@ -1,5 +1,6 @@
 //! The bounded dispatch queue between the reactor and the request
-//! workers.
+//! workers. Queues carry parsed requests ([`NdjsonService::Request`]),
+//! never raw lines: a worker executes what the reactor decoded.
 //!
 //! The reactor thread must never block, so admission follows the serving
 //! tiers' established contract: *data-plane* lines (writes and per-name
@@ -20,9 +21,9 @@ use std::thread::JoinHandle;
 use weber_obs::Gauge;
 
 use crate::poller::Waker;
-use crate::server::{NdjsonService, Reply};
+use crate::server::NdjsonService;
 
-/// Where a request line should execute, decided by the service before
+/// Where a request executes, decided by [`NdjsonService::parse`] before
 /// dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouteClass {
@@ -49,8 +50,8 @@ pub struct Completion {
     pub conn: u64,
     /// The line's per-connection admission sequence number.
     pub seq: u64,
-    /// The reply to deliver at that position.
-    pub reply: Reply,
+    /// The reply line to deliver at that position.
+    pub reply: String,
 }
 
 /// The worker half of the completion channel: post a result, wake the
@@ -76,13 +77,14 @@ impl CompletionSender {
     }
 }
 
-struct Queue {
-    state: Mutex<QueueState>,
+struct Queue<R> {
+    state: Mutex<QueueState<R>>,
     ready: Condvar,
 }
 
-struct QueueState {
-    jobs: VecDeque<(u64, u64, String)>,
+struct QueueState<R> {
+    /// `(conn, seq, request)` in admission order.
+    jobs: VecDeque<(u64, u64, R)>,
     closed: bool,
 }
 
@@ -97,20 +99,21 @@ pub enum Dispatch {
 }
 
 /// A fixed pool of worker threads, each with its own bounded FIFO queue,
-/// processing request lines through one shared [`NdjsonService`].
-pub struct WorkerPool {
-    queues: Vec<Arc<Queue>>,
+/// processing parsed requests of type `R` through one shared
+/// [`NdjsonService`].
+pub struct WorkerPool<R> {
+    queues: Vec<Arc<Queue<R>>>,
     capacity: usize,
     depth: Arc<Gauge>,
     handles: Vec<JoinHandle<()>>,
 }
 
-impl WorkerPool {
+impl<R: Send + 'static> WorkerPool<R> {
     /// Start `workers` threads (clamped to ≥ 1), each with a
-    /// `capacity`-slot queue, posting replies through `completions`.
-    /// `depth` is kept at the number of jobs queued but not yet picked
-    /// up, across all workers.
-    pub fn start<S: NdjsonService>(
+    /// `capacity`-slot queue (clamped to ≥ 1), posting replies through
+    /// `completions`. `depth` is kept at the number of jobs queued but not
+    /// yet picked up, across all workers.
+    pub fn start<S: NdjsonService<Request = R>>(
         service: Arc<S>,
         workers: usize,
         capacity: usize,
@@ -119,7 +122,7 @@ impl WorkerPool {
     ) -> Self {
         let workers = workers.max(1);
         let capacity = capacity.max(1);
-        let queues: Vec<Arc<Queue>> = (0..workers)
+        let queues: Vec<Arc<Queue<R>>> = (0..workers)
             .map(|_| {
                 Arc::new(Queue {
                     state: Mutex::new(QueueState {
@@ -151,13 +154,12 @@ impl WorkerPool {
                         }
                     };
                     depth.sub(1);
-                    let (conn, seq, line) = job;
+                    let (conn, seq, request) = job;
                     // A panicking handler must not wedge the connection:
                     // the line still gets a reply at its position.
-                    let reply = catch_unwind(AssertUnwindSafe(|| service.process(&line)))
-                        .unwrap_or_else(|_| Reply {
-                            line: service.internal_error_reply("request handler panicked"),
-                            shutdown: false,
+                    let reply = catch_unwind(AssertUnwindSafe(|| service.process(request)))
+                        .unwrap_or_else(|_| {
+                            service.internal_error_reply("request handler panicked")
                         });
                     completions.send(Completion { conn, seq, reply });
                 })
@@ -171,11 +173,11 @@ impl WorkerPool {
         }
     }
 
-    /// Dispatch one line. `Data` lines may shed; `Control` lines always
-    /// queue (on worker 0). Callers handle `RouteClass::Immediate` and
-    /// `RouteClass::Deferred` themselves — passing either here routes
+    /// Dispatch one request. `Data` requests may shed; `Control` requests
+    /// always queue (on worker 0). Callers handle `RouteClass::Immediate`
+    /// and `RouteClass::Deferred` themselves — passing either here routes
     /// like `Control`.
-    pub fn submit(&self, class: RouteClass, conn: u64, seq: u64, line: String) -> Dispatch {
+    pub fn submit(&self, class: RouteClass, conn: u64, seq: u64, request: R) -> Dispatch {
         let workers = self.queues.len() as u64;
         let (index, sheddable) = match class {
             RouteClass::Data(key) => ((key % workers) as usize, true),
@@ -186,7 +188,7 @@ impl WorkerPool {
         if sheddable && state.jobs.len() >= self.capacity {
             return Dispatch::Shed;
         }
-        state.jobs.push_back((conn, seq, line));
+        state.jobs.push_back((conn, seq, request));
         // Still under the queue lock, so the worker's matching `sub`
         // cannot run first and the gauge never reads negative.
         self.depth.add(1);
@@ -197,6 +199,16 @@ impl WorkerPool {
     /// Jobs queued but not yet picked up, across all workers.
     pub fn depth(&self) -> i64 {
         self.depth.get()
+    }
+
+    /// Worker threads running (after clamping).
+    pub fn workers(&self) -> usize {
+        self.queues.len()
+    }
+
+    /// Queue slots per worker (after clamping).
+    pub fn capacity(&self) -> usize {
+        self.capacity
     }
 
     /// Close the queues and join every worker. Queued jobs are still
@@ -216,22 +228,30 @@ impl WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::Parsed;
     use std::sync::mpsc::{self, Receiver};
+
+    /// Every line is one data request on key 0.
+    fn data_line(line: &str) -> Parsed<String> {
+        Parsed::Request {
+            request: line.to_string(),
+            class: RouteClass::Data(0),
+            shutdown: false,
+        }
+    }
 
     /// Echo service: replies with the line itself; "boom" panics.
     struct Echo;
     impl NdjsonService for Echo {
-        fn classify(&self, _line: &str) -> RouteClass {
-            RouteClass::Data(0)
+        type Request = String;
+        fn parse(&self, line: &str) -> Parsed<String> {
+            data_line(line)
         }
-        fn process(&self, line: &str) -> Reply {
+        fn process(&self, line: String) -> String {
             if line == "boom" {
                 panic!("kaboom");
             }
-            Reply {
-                line: line.to_string(),
-                shutdown: false,
-            }
+            line
         }
         fn overloaded_reply(&self) -> String {
             "overloaded".into()
@@ -241,7 +261,10 @@ mod tests {
         }
     }
 
-    fn pool(workers: usize, capacity: usize) -> (WorkerPool, Receiver<Completion>, Arc<Waker>) {
+    fn pool(
+        workers: usize,
+        capacity: usize,
+    ) -> (WorkerPool<String>, Receiver<Completion>, Arc<Waker>) {
         let (tx, rx) = mpsc::channel();
         let waker = Arc::new(Waker::new().unwrap());
         let pool = WorkerPool::start(
@@ -267,7 +290,7 @@ mod tests {
         for _ in 0..32 {
             let c = rx.recv().unwrap();
             seen.push(c.seq);
-            assert_eq!(c.reply.line, format!("line-{}", c.seq));
+            assert_eq!(c.reply, format!("line-{}", c.seq));
         }
         // One sticky key → one FIFO worker → strictly ordered completions.
         assert_eq!(seen, (0..32).collect::<Vec<_>>());
@@ -305,9 +328,9 @@ mod tests {
         pool.submit(RouteClass::Data(0), 1, 1, "after".into());
         let first = rx.recv().unwrap();
         assert_eq!(first.seq, 0);
-        assert_eq!(first.reply.line, "parse-error");
+        assert_eq!(first.reply, "parse-error");
         let second = rx.recv().unwrap();
-        assert_eq!(second.reply.line, "after");
+        assert_eq!(second.reply, "after");
         pool.finish();
     }
 
@@ -319,16 +342,14 @@ mod tests {
             release: Mutex<Receiver<()>>,
         }
         impl NdjsonService for Gated {
-            fn classify(&self, _line: &str) -> RouteClass {
-                RouteClass::Data(0)
+            type Request = String;
+            fn parse(&self, line: &str) -> Parsed<String> {
+                data_line(line)
             }
-            fn process(&self, line: &str) -> Reply {
+            fn process(&self, line: String) -> String {
                 self.entered.send(()).unwrap();
                 self.release.lock().unwrap().recv().unwrap();
-                Reply {
-                    line: line.to_string(),
-                    shutdown: false,
-                }
+                line
             }
             fn overloaded_reply(&self) -> String {
                 "overloaded".into()

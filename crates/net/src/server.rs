@@ -1,9 +1,19 @@
 //! The event-loop NDJSON server: one reactor thread multiplexing every
-//! connection over epoll, a fixed worker pool executing request lines,
+//! connection over epoll, a fixed worker pool executing parsed requests,
 //! and a reorder buffer per connection so replies always come back in
 //! the order the requests arrived. [`serve_lines`] is the same contract
 //! for one blocking connection (stdin/stdout): no reactor, no pool, each
 //! line answered before the next is read.
+//!
+//! # One parse per line
+//!
+//! A framed line is handed to [`NdjsonService::parse`] exactly once, on
+//! the reactor. The result says everything the reactor needs: where the
+//! request runs ([`RouteClass`]), whether it shuts the server down, or —
+//! for a line that is not a request — the reply to send at its position.
+//! The parsed request then travels to wherever it executes (the reactor
+//! itself, a worker queue, or the service's deferred path) and is never
+//! decoded again.
 //!
 //! # Ordering and backpressure
 //!
@@ -18,10 +28,10 @@
 //!
 //! # Shutdown
 //!
-//! A shutdown line is detected at framing time: the listener closes,
-//! reads stop, in-flight work drains (bounded by `drain_grace`), queued
-//! replies flush, and the loop exits. Connections still open at that
-//! point are dropped.
+//! A line parsed as a shutdown is acted on at framing time: the listener
+//! stops accepting, reads stop, in-flight work drains (bounded by
+//! `drain_grace`), queued replies flush, and the loop exits. Connections
+//! still open at that point are dropped.
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, BufRead, Read, Write};
@@ -37,16 +47,23 @@ use crate::buffer::{LineFramer, WriteBuffer};
 use crate::poller::{Event, Interest, Poller, Waker};
 use crate::pool::{CompletionSender, Dispatch, RouteClass, WorkerPool};
 
-/// One reply line, plus whether it ends the server.
-pub struct Reply {
-    /// The NDJSON reply (no trailing newline).
-    pub line: String,
-    /// True if the server should begin draining after emitting this.
-    pub shutdown: bool,
+/// What [`NdjsonService::parse`] made of one line.
+pub enum Parsed<R> {
+    /// A request to execute.
+    Request {
+        /// The decoded request, handed to `process` or `process_deferred`.
+        request: R,
+        /// Where it executes.
+        class: RouteClass,
+        /// True if admitting it starts the server's drain.
+        shutdown: bool,
+    },
+    /// A line that is not a request; this is its reply.
+    Reply(String),
 }
 
 /// The write-half of one admitted line's reply slot, handed to
-/// [`NdjsonService::process_deferred`] for lines classified
+/// [`NdjsonService::process_deferred`] for requests parsed as
 /// [`RouteClass::Deferred`]. The service answers from any thread, later:
 /// the reply lands in the completion channel and takes the line's
 /// position in the connection's reply order, exactly as a worker-pool
@@ -60,8 +77,8 @@ pub struct Responder {
 }
 
 impl Responder {
-    /// Deliver the reply for this line's position.
-    pub fn respond(self, reply: Reply) {
+    /// Deliver the reply line (no trailing newline) for this position.
+    pub fn respond(self, reply: String) {
         self.sender.send(crate::pool::Completion {
             conn: self.conn,
             seq: self.seq,
@@ -71,15 +88,19 @@ impl Responder {
 }
 
 /// The request-side contract a serving tier implements to run on the
-/// event loop. One instance is shared by every worker thread.
+/// event loop: parse a line once, then execute what it parsed to. One
+/// instance is shared by the reactor and every worker thread.
 pub trait NdjsonService: Send + Sync + 'static {
-    /// Decide where a line executes. Called on the reactor thread, so it
-    /// must be cheap — peek at the line, do not process it.
-    fn classify(&self, line: &str) -> RouteClass;
+    /// A decoded request line, carried from the reactor to where it runs.
+    type Request: Send + 'static;
 
-    /// Execute one request line and produce its reply. Called on worker
+    /// Decode one line. Called once per non-blank line, on the reactor
+    /// thread (or the stdio loop), so it must not block.
+    fn parse(&self, line: &str) -> Parsed<Self::Request>;
+
+    /// Execute one request and produce its reply line. Called on worker
     /// threads (or the reactor thread for `RouteClass::Immediate`).
-    fn process(&self, line: &str) -> Reply;
+    fn process(&self, request: Self::Request) -> String;
 
     /// The reply for a line shed by a full queue or a refused connection.
     fn overloaded_reply(&self) -> String;
@@ -94,19 +115,13 @@ pub trait NdjsonService: Send + Sync + 'static {
         self.parse_error_reply(detail)
     }
 
-    /// Start asynchronous processing for a [`RouteClass::Deferred`] line.
-    /// Called on the reactor thread, so it must not block: kick off the
-    /// outbound work and return; answer through `responder` when done.
-    /// The default falls back to synchronous processing so services that
-    /// never classify `Deferred` need not implement it.
-    fn process_deferred(&self, line: &str, responder: Responder) {
-        responder.respond(self.process(line));
-    }
-
-    /// True if this line asks the server to shut down. Detected at
-    /// framing time so the listener closes before the line even runs.
-    fn is_shutdown_line(&self, _line: &str) -> bool {
-        false
+    /// Start asynchronous processing for a [`RouteClass::Deferred`]
+    /// request. Called on the reactor thread, so it must not block: kick
+    /// off the outbound work and return; answer through `responder` when
+    /// done. The default falls back to synchronous processing so services
+    /// that never parse to `Deferred` need not implement it.
+    fn process_deferred(&self, request: Self::Request, responder: Responder) {
+        responder.respond(self.process(request));
     }
 }
 
@@ -160,6 +175,14 @@ pub const MAX_PIPELINE: u64 = 256;
 /// of lines queued for the workers and not yet picked up. A tier that
 /// reports the backlog itself (`weber serve`'s `health`) binds this name.
 pub const QUEUE_DEPTH_GAUGE: &str = "net.queue_depth";
+
+/// The gauge [`serve`] sets to its running pool's worker count while the
+/// loop runs, and back to 0 when it returns.
+pub const WORKERS_GAUGE: &str = "net.workers";
+
+/// The gauge [`serve`] sets to its running pool's per-worker queue
+/// capacity while the loop runs, and back to 0 when it returns.
+pub const QUEUE_CAPACITY_GAUGE: &str = "net.queue_capacity";
 
 const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKER: u64 = 1;
@@ -248,17 +271,20 @@ pub fn serve<S: NdjsonService>(
     let waker = Arc::new(Waker::new()?);
     let (tx, completions): (_, Receiver<crate::pool::Completion>) = mpsc::channel();
     let completion_sender = CompletionSender::new(tx, Arc::clone(&waker));
-    let queue_depth = match options.registry.as_ref() {
-        Some(registry) => registry.gauge(QUEUE_DEPTH_GAUGE),
+    let gauge = |name: &str| match options.registry.as_ref() {
+        Some(registry) => registry.gauge(name),
         None => Arc::new(Gauge::new()),
     };
+    let (workers, queue_capacity) = (gauge(WORKERS_GAUGE), gauge(QUEUE_CAPACITY_GAUGE));
     let pool = WorkerPool::start(
         Arc::clone(&service),
         options.workers,
         options.queue_capacity,
         completion_sender.clone(),
-        queue_depth,
+        gauge(QUEUE_DEPTH_GAUGE),
     );
+    workers.set(pool.workers() as i64);
+    queue_capacity.set(pool.capacity() as i64);
 
     poller.add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
     poller.add(waker.raw_fd(), TOKEN_WAKER, Interest::READ)?;
@@ -340,12 +366,7 @@ pub fn serve<S: NdjsonService>(
             }
         }
 
-        drain_completions(
-            &completions,
-            &mut conns,
-            &mut shutting_down,
-            metrics.as_ref(),
-        );
+        drain_completions(&completions, &mut conns);
 
         // Idle eviction, amortised to a periodic sweep.
         if let Some(idle) = options.idle_timeout {
@@ -430,13 +451,10 @@ pub fn serve<S: NdjsonService>(
 
     drop(listener);
     pool.finish();
+    workers.set(0);
+    queue_capacity.set(0);
     // Flush any replies that completed during the final drain window.
-    drain_completions(
-        &completions,
-        &mut conns,
-        &mut shutting_down,
-        metrics.as_ref(),
-    );
+    drain_completions(&completions, &mut conns);
     for conn in conns.values_mut() {
         conn.emit_ready();
         let _ = conn.stream.set_nonblocking(false);
@@ -525,7 +543,7 @@ fn refuse<S: NdjsonService>(mut stream: TcpStream, service: &S, metrics: Option<
 fn read_and_frame<S: NdjsonService>(
     conn: &mut Conn,
     token: u64,
-    pool: &WorkerPool,
+    pool: &WorkerPool<S::Request>,
     completions: &CompletionSender,
     service: &S,
     options: &ServerOptions,
@@ -595,20 +613,20 @@ fn read_and_frame<S: NdjsonService>(
     Ok(())
 }
 
-/// Frame and dispatch as many buffered lines as the pipelining valve
-/// allows.
+/// Frame, parse and dispatch as many buffered lines as the pipelining
+/// valve allows. Nothing is framed once a shutdown has been admitted.
 #[allow(clippy::too_many_arguments)]
 fn frame_pending<S: NdjsonService>(
     conn: &mut Conn,
     token: u64,
-    pool: &WorkerPool,
+    pool: &WorkerPool<S::Request>,
     completions: &CompletionSender,
     service: &S,
     admitted: &mut u64,
     shutting_down: &mut bool,
     metrics: Option<&NetMetrics>,
 ) {
-    while conn.in_flight() < MAX_PIPELINE && !conn.read_closed {
+    while conn.in_flight() < MAX_PIPELINE && !conn.read_closed && !*shutting_down {
         if conn.framer.overflowed() {
             break;
         }
@@ -647,23 +665,30 @@ fn frame_pending<S: NdjsonService>(
         }
         let seq = conn.next_seq;
         conn.next_seq += 1;
-        if service.is_shutdown_line(&line) {
-            *shutting_down = true;
-        }
-        match service.classify(&line) {
+        let (request, class) = match service.parse(&line) {
+            Parsed::Reply(reply) => {
+                conn.reorder.insert(seq, reply);
+                continue;
+            }
+            Parsed::Request {
+                request,
+                class,
+                shutdown,
+            } => {
+                *shutting_down |= shutdown;
+                (request, class)
+            }
+        };
+        match class {
             RouteClass::Immediate => {
-                let reply = service.process(&line);
-                if reply.shutdown {
-                    *shutting_down = true;
-                }
-                conn.reorder.insert(seq, reply.line);
+                conn.reorder.insert(seq, service.process(request));
             }
             RouteClass::Deferred => {
                 // The line's reply slot travels with the responder; the
                 // service answers through the completion channel when its
                 // outbound work finishes.
                 service.process_deferred(
-                    &line,
+                    request,
                     Responder {
                         sender: completions.clone(),
                         conn: token,
@@ -671,7 +696,7 @@ fn frame_pending<S: NdjsonService>(
                     },
                 );
             }
-            class => match pool.submit(class, token, seq, line) {
+            class => match pool.submit(class, token, seq, request) {
                 Dispatch::Queued => {}
                 Dispatch::Shed => {
                     if let Some(m) = metrics {
@@ -681,9 +706,6 @@ fn frame_pending<S: NdjsonService>(
                 }
             },
         }
-        if *shutting_down {
-            break;
-        }
     }
 }
 
@@ -692,16 +714,10 @@ fn frame_pending<S: NdjsonService>(
 fn drain_completions(
     completions: &Receiver<crate::pool::Completion>,
     conns: &mut HashMap<u64, Conn>,
-    shutting_down: &mut bool,
-    metrics: Option<&NetMetrics>,
 ) {
-    let _ = metrics;
     while let Ok(completion) = completions.try_recv() {
-        if completion.reply.shutdown {
-            *shutting_down = true;
-        }
         if let Some(conn) = conns.get_mut(&completion.conn) {
-            conn.reorder.insert(completion.seq, completion.reply.line);
+            conn.reorder.insert(completion.seq, completion.reply);
             conn.emit_ready();
             if !conn.out.is_empty() {
                 // Opportunistic flush; WouldBlock leaves bytes
@@ -712,12 +728,12 @@ fn drain_completions(
     }
 }
 
-/// Serve one blocking connection: read a line, answer it, flush, read
-/// the next — the stdin/stdout front end of both tiers. Blank lines are
-/// skipped; a line that is not valid UTF-8 is answered at its position
-/// with [`NdjsonService::parse_error_reply`]. Stops at EOF or after the
-/// reply whose [`Reply::shutdown`] is set, returning how many lines were
-/// answered; a read or write error ends the loop and is returned.
+/// Serve one blocking connection: read a line, parse it, answer it,
+/// flush, read the next — the stdin/stdout front end of both tiers. Blank
+/// lines are skipped; a line that is not valid UTF-8 is answered at its
+/// position with [`NdjsonService::parse_error_reply`]. Stops at EOF or
+/// after answering a line parsed as a shutdown, returning how many lines
+/// were answered; a read or write error ends the loop and is returned.
 ///
 /// Nothing is queued, so nothing is ever shed: a client that does not
 /// wait for replies (a file piped in) is simply read at the pace its
@@ -734,19 +750,24 @@ pub fn serve_lines<S: NdjsonService, R: BufRead, W: Write>(
         if reader.read_until(b'\n', &mut raw)? == 0 {
             return Ok(answered);
         }
-        let reply = match std::str::from_utf8(&raw).map(str::trim) {
+        let (reply, shutdown) = match std::str::from_utf8(&raw).map(str::trim) {
             Ok("") => continue,
-            Ok(line) => service.process(line),
-            Err(_) => Reply {
-                line: service.parse_error_reply("request is not valid UTF-8"),
-                shutdown: false,
+            Ok(line) => match service.parse(line) {
+                Parsed::Reply(reply) => (reply, false),
+                Parsed::Request {
+                    request, shutdown, ..
+                } => (service.process(request), shutdown),
             },
+            Err(_) => (
+                service.parse_error_reply("request is not valid UTF-8"),
+                false,
+            ),
         };
         answered += 1;
-        writer.write_all(reply.line.as_bytes())?;
+        writer.write_all(reply.as_bytes())?;
         writer.write_all(b"\n")?;
         writer.flush()?;
-        if reply.shutdown {
+        if shutdown {
             return Ok(answered);
         }
     }
@@ -758,29 +779,36 @@ mod tests {
     use std::io::{BufRead, BufReader};
     use std::net::TcpStream as ClientStream;
 
-    /// Uppercases lines; `{"op":"shutdown"}` ends the server; "slow"
-    /// sleeps to create reordering pressure across keys.
+    /// The line that stops a test server.
+    const SHUTDOWN: &str = r#"{"op":"shutdown"}"#;
+
+    /// Uppercases lines; [`SHUTDOWN`] ends the server; "slow" sleeps to
+    /// create reordering pressure across keys.
     struct Upper;
     impl NdjsonService for Upper {
-        fn classify(&self, line: &str) -> RouteClass {
-            if line.contains("health") {
+        type Request = String;
+        fn parse(&self, line: &str) -> Parsed<String> {
+            let shutdown = line == SHUTDOWN;
+            let class = if line.contains("health") {
                 RouteClass::Immediate
-            } else if line.contains("shutdown") {
+            } else if shutdown {
                 RouteClass::Control
             } else {
                 // Spread by length so different lines land on different
                 // workers, exercising the reorder buffer.
                 RouteClass::Data(line.len() as u64)
+            };
+            Parsed::Request {
+                request: line.to_string(),
+                class,
+                shutdown,
             }
         }
-        fn process(&self, line: &str) -> Reply {
+        fn process(&self, line: String) -> String {
             if line.contains("slow") {
                 std::thread::sleep(Duration::from_millis(30));
             }
-            Reply {
-                line: line.to_uppercase(),
-                shutdown: line.contains("shutdown"),
-            }
+            line.to_uppercase()
         }
         fn overloaded_reply(&self) -> String {
             "overloaded".into()
@@ -788,15 +816,19 @@ mod tests {
         fn parse_error_reply(&self, detail: &str) -> String {
             format!("error:{detail}")
         }
-        fn is_shutdown_line(&self, line: &str) -> bool {
-            line.contains("shutdown")
-        }
     }
 
     fn start(options: ServerOptions) -> (std::net::SocketAddr, std::thread::JoinHandle<u64>) {
+        start_with(Arc::new(Upper), options)
+    }
+
+    fn start_with<S: NdjsonService>(
+        service: Arc<S>,
+        options: ServerOptions,
+    ) -> (std::net::SocketAddr, std::thread::JoinHandle<u64>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let handle = std::thread::spawn(move || serve(Arc::new(Upper), listener, options).unwrap());
+        let handle = std::thread::spawn(move || serve(service, listener, options).unwrap());
         (addr, handle)
     }
 
@@ -992,5 +1024,123 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
+    }
+
+    /// Counts `parse` calls. A line's first word picks its path: `now`
+    /// runs on the reactor, `ctl` is a control request, `later` is
+    /// deferred and answered from another thread, `bad` is not a request,
+    /// `stop` is a control request that shuts the server down; anything
+    /// else is data on one key. `slow` lines take 30 ms to process.
+    #[derive(Default)]
+    struct Counting {
+        parses: std::sync::atomic::AtomicUsize,
+    }
+
+    impl Counting {
+        fn parses(&self) -> usize {
+            self.parses.load(std::sync::atomic::Ordering::SeqCst)
+        }
+    }
+
+    impl NdjsonService for Counting {
+        type Request = String;
+        fn parse(&self, line: &str) -> Parsed<String> {
+            self.parses
+                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            let class = match line.split_whitespace().next() {
+                Some("bad") => return Parsed::Reply(format!("rejected {line}")),
+                Some("now") => RouteClass::Immediate,
+                Some("ctl" | "stop") => RouteClass::Control,
+                Some("later") => RouteClass::Deferred,
+                _ => RouteClass::Data(0),
+            };
+            Parsed::Request {
+                request: line.to_string(),
+                class,
+                shutdown: line.starts_with("stop"),
+            }
+        }
+        fn process(&self, line: String) -> String {
+            if line.contains("slow") {
+                std::thread::sleep(Duration::from_millis(30));
+            }
+            format!("done {line}")
+        }
+        fn process_deferred(&self, line: String, responder: Responder) {
+            std::thread::spawn(move || responder.respond(format!("deferred {line}")));
+        }
+        fn overloaded_reply(&self) -> String {
+            "overloaded".into()
+        }
+        fn parse_error_reply(&self, detail: &str) -> String {
+            format!("error:{detail}")
+        }
+    }
+
+    fn read_lines(reader: &mut impl BufRead, n: usize) -> Vec<String> {
+        (0..n)
+            .map(|_| {
+                let mut line = String::new();
+                reader.read_line(&mut line).unwrap();
+                line.trim().to_string()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_admitted_line_is_parsed_exactly_once() {
+        // One worker with one queue slot: the burst of slow data lines
+        // sheds some, and every other path runs once each.
+        let service = Arc::new(Counting::default());
+        let options = ServerOptions {
+            workers: 1,
+            queue_capacity: 1,
+            ..ServerOptions::default()
+        };
+        let (addr, handle) = start_with(Arc::clone(&service), options);
+        let mut client = ClientStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(client.try_clone().unwrap());
+        let burst = "slow 0\nslow 1\nslow 2\nslow 3\nslow 4\nslow 5\nnow\nctl\nlater\nbad\n\n";
+        client.write_all(burst.as_bytes()).unwrap();
+        let replies = read_lines(&mut reader, 10);
+        let shed = replies.iter().filter(|r| *r == "overloaded").count();
+        assert!(shed > 0, "a one-slot queue must shed a burst: {replies:?}");
+        assert_eq!(replies[0], "done slow 0");
+        assert_eq!(
+            replies[6..],
+            ["done now", "done ctl", "deferred later", "rejected bad"]
+        );
+        assert_eq!(service.parses(), 10, "the blank line is not parsed");
+        // The shutdown is acted on when it is framed, not when its slow
+        // reply is ready: the line behind it in the same write is never
+        // parsed or admitted.
+        client.write_all(b"stop slow\nafter\n").unwrap();
+        assert_eq!(read_lines(&mut reader, 1), ["done stop slow"]);
+        assert_eq!(handle.join().unwrap(), 11);
+        assert_eq!(service.parses(), 11);
+        assert!(
+            ClientStream::connect(addr).is_err(),
+            "the listener is closed"
+        );
+
+        // The blocking loop parses each non-blank line once and stops
+        // after the shutdown.
+        let service = Counting::default();
+        let input = b"now\n\nctl\nlater\nbad\n  \ndata\nstop\nnever\n".to_vec();
+        let mut out = Vec::new();
+        let answered = serve_lines(&service, io::Cursor::new(input), &mut out).unwrap();
+        assert_eq!(answered, 6);
+        assert_eq!(service.parses(), 6);
+        assert_eq!(
+            lines_of(out),
+            [
+                "done now",
+                "done ctl",
+                "done later",
+                "rejected bad",
+                "done data",
+                "done stop"
+            ]
+        );
     }
 }

@@ -2,27 +2,30 @@
 //!
 //! Both front ends execute every request line through one adapter,
 //! `RouterService`, the [`weber_net::NdjsonService`] over a [`Router`].
+//! Its `parse` is the router's one op table, run once per line on the
+//! reactor; where the parsed request executes follows from what it is.
 //! The TCP front end runs it on the `weber-net` epoll reactor, and
-//! per-name ops (`seed`, `ingest`, `resolve`) take the fully asynchronous
-//! path: the reactor classifies them [`RouteClass::Deferred`] and hands
-//! each line (with a [`weber_net::Responder`]) to
-//! [`Router::process_line_deferred`][crate::Router::process_line_deferred],
-//! which submits the backend exchange to the outbound reactor and
-//! returns immediately. No thread waits on the backend round trip — a
-//! deliberately stalled backend stalls only the requests addressed to
-//! it, while requests owned by healthy shards keep flowing, whatever
-//! `--workers` is set to. Replies still come back in per-connection
-//! admission order (the reactor's reorder buffer holds each one to its
-//! line's position), and backpressure comes from the pipelining valve,
-//! which stops reading a connection with too many unanswered lines.
+//! per-name ops (`seed`, `ingest`, `resolve`, `same_as`, `constraint`,
+//! named `entities`) take the fully asynchronous path: they parse to
+//! [`RouteClass::Deferred`] and the reactor hands each (with a
+//! [`weber_net::Responder`]) to the router, which submits the backend
+//! exchange to the outbound reactor and returns immediately. No thread
+//! waits on the backend round trip — a deliberately stalled backend stalls
+//! only the requests addressed to it, while requests owned by healthy
+//! shards keep flowing, whatever `--workers` is set to. Replies still
+//! come back in per-connection admission order (the reactor's reorder
+//! buffer holds each one to its line's position), and backpressure comes
+//! from the pipelining valve, which stops reading a connection with too
+//! many unanswered lines.
 //!
-//! Fan-out ops (`snapshot`, `metrics`, `persist`, `restore`, `flush`,
-//! `shutdown`, `topology`) block for the slowest backend, so they
-//! classify [`RouteClass::Control`] and run on a worker thread; `health`
-//! and parse errors are answered straight from the reactor
-//! ([`RouteClass::Immediate`]) — both are local and cheap. Over-cap
-//! clients are refused with one `overloaded` line, and `shutdown` drains
-//! the tier (backends included).
+//! Fan-out ops (`snapshot`, name-less `entities`, `metrics`, `persist`,
+//! `restore`, `flush`, `shutdown`, `topology`) block for the slowest
+//! backend, so they run on a worker thread ([`RouteClass::Control`]);
+//! `health` is answered straight from the reactor
+//! ([`RouteClass::Immediate`]), and a line the router rejects is answered
+//! with its error reply at its position — both are local and cheap.
+//! Over-cap clients are refused with one `overloaded` line, and `shutdown`
+//! drains the tier (backends included).
 //!
 //! The stdio front end ([`route_stdio`]) is one blocking connection
 //! ([`weber_net::serve_lines`]): each line is routed and answered before
@@ -32,11 +35,11 @@ use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
 
-use weber_net::{RouteClass, ServerOptions};
+use weber_net::{Parsed, RouteClass, ServerOptions};
 use weber_stream::protocol;
 use weber_stream::StreamError;
 
-use crate::router::Router;
+use crate::router::{Fanout, Routed, Router};
 
 /// Tuning knobs of the routing front end.
 #[derive(Debug, Clone)]
@@ -106,53 +109,48 @@ pub fn route_listener(
     )
 }
 
-/// The adapter putting a [`Router`] behind `weber-net`. On the reactor,
-/// per-name ops go [`RouteClass::Deferred`] onto the asynchronous
-/// outbound path; fan-out and topology ops go [`RouteClass::Control`]
-/// (they block a worker for the broadcast, never the reactor); `health`
-/// and unparseable lines are answered inline ([`RouteClass::Immediate`]).
+/// The adapter putting a [`Router`] behind `weber-net`: [`Router::parse`]
+/// decides the class, and the parsed request executes without being
+/// decoded again.
 struct RouterService {
     router: Arc<Router>,
 }
 
 impl weber_net::NdjsonService for RouterService {
-    fn classify(&self, line: &str) -> RouteClass {
-        match serde_json::parse_value(line) {
-            Ok(v) => match v.get("op").and_then(serde::Value::as_str) {
-                // A name-less `entities` is a blocking fan-out, so only
-                // the named form may take the deferred path.
-                Some("seed" | "ingest" | "resolve" | "same_as" | "constraint") => {
-                    RouteClass::Deferred
-                }
-                Some("entities") if v.get("name").and_then(serde::Value::as_str).is_some() => {
-                    RouteClass::Deferred
-                }
-                Some("health") => RouteClass::Immediate,
-                _ => RouteClass::Control,
-            },
-            // Parse errors are answered locally without any backend
-            // round trip; cheap enough for the reactor itself.
-            Err(_) => RouteClass::Immediate,
+    type Request = Routed;
+
+    fn parse(&self, line: &str) -> Parsed<Routed> {
+        let request = match self.router.parse(line) {
+            Routed::Invalid(reply) => return Parsed::Reply(reply),
+            request => request,
+        };
+        let class = match &request {
+            Routed::Write(_) | Routed::Read(_) => RouteClass::Deferred,
+            Routed::Broadcast { .. } | Routed::Topology(_) => RouteClass::Control,
+            Routed::Health | Routed::Invalid(_) => RouteClass::Immediate,
+        };
+        let shutdown = matches!(
+            request,
+            Routed::Broadcast {
+                fanout: Fanout::Shutdown,
+                ..
+            }
+        );
+        Parsed::Request {
+            request,
+            class,
+            shutdown,
         }
     }
 
-    fn process(&self, line: &str) -> weber_net::Reply {
-        let outcome = self.router.process_line(line);
-        weber_net::Reply {
-            line: outcome.response,
-            shutdown: outcome.shutdown,
-        }
+    fn process(&self, request: Routed) -> String {
+        self.router.execute_blocking(request).response
     }
 
-    fn process_deferred(&self, line: &str, responder: weber_net::Responder) {
-        self.router.process_line_deferred(
-            line,
-            Box::new(move |outcome| {
-                responder.respond(weber_net::Reply {
-                    line: outcome.response,
-                    shutdown: outcome.shutdown,
-                });
-            }),
+    fn process_deferred(&self, request: Routed, responder: weber_net::Responder) {
+        self.router.execute(
+            request,
+            Box::new(move |outcome| responder.respond(outcome.response)),
         );
     }
 
@@ -162,10 +160,6 @@ impl weber_net::NdjsonService for RouterService {
 
     fn parse_error_reply(&self, detail: &str) -> String {
         protocol::err_response(&StreamError::Parse(detail.to_string()))
-    }
-
-    fn is_shutdown_line(&self, line: &str) -> bool {
-        line.contains("shutdown") && protocol::is_shutdown(line)
     }
 }
 

@@ -1,33 +1,35 @@
 //! The router: one `weber serve`-shaped NDJSON surface over many backends.
 //!
-//! Per-name writes (`seed`, `ingest`, and the entity-table mutations
-//! `same_as` / `constraint`) are forwarded to the `R` distinct
-//! backends the [`HashRing`] says hold the name (`--replication R`,
-//! default 1), with bounded retries and the answering shard's index
-//! appended to the reply; a write acked by fewer than R replicas is
-//! marked degraded and the missed lines are buffered per backend for
-//! replay when it recovers (write repair). Per-name reads (`resolve`,
-//! named `entities`) try the replica set in ring order — healthy
-//! members first — and fail over until one answers. Fan-out ops
-//! (`snapshot`, name-less `entities`, `metrics`, `persist`, `restore`,
-//! `flush`, `shutdown`) are broadcast to every
-//! backend concurrently and merged ([`crate::merge`]) — dead backends
-//! degrade the answer rather than fail it (and under replication a
-//! snapshot with fewer than R backends down is not degraded at all). Two
-//! ops never touch a backend: `health` reports the router's own view of
-//! the tier, and `topology` swaps the backend set at runtime (persisting
-//! the old ring first so names — and their replicas — migrate through
-//! the shared state directory).
+//! `Router::parse` decodes a line once into what the router will do —
+//! the tier's one op table — and `Router::execute` runs it; nothing
+//! downstream decodes the client's line again. Per-name writes (`seed`,
+//! `ingest`, and the entity-table mutations `same_as` / `constraint`) are
+//! forwarded to the `R` distinct backends the [`HashRing`] says hold the
+//! name (`--replication R`, default 1), with bounded retries; a write
+//! acked by fewer than R replicas is marked degraded and the missed lines
+//! are buffered per backend for replay when it recovers (write repair).
+//! Per-name reads (`resolve`, named `entities`) try the replica set in
+//! ring order — healthy members first — and fail over until one answers.
+//! A per-name reply is relayed as the backend's bytes, with the router's
+//! tags spliced in front of its final `}`. Fan-out ops (`snapshot`,
+//! name-less `entities`, `metrics`, `persist`, `restore`, `flush`,
+//! `shutdown`) are broadcast to every backend concurrently and merged
+//! ([`crate::merge`]) — dead backends degrade the answer rather than fail
+//! it (and under replication a snapshot with fewer than R backends down is
+//! not degraded at all). Two ops never touch a backend: `health` reports
+//! the router's own view of the tier, and `topology` swaps the backend set
+//! at runtime (persisting the old ring first so names — and their replicas
+//! — migrate through the shared state directory).
 //!
 //! Every backend exchange rides the shared [`OutboundPool`] reactor, so
 //! forwarding is a *state machine*, not a parked thread: per-name ops
-//! have an asynchronous spine ([`Router::process_line_deferred`]) where
-//! retries, write fan-out and read failover advance from pool completion
-//! callbacks, and [`Router::process_line`] is the blocking wrapper
-//! (submit, wait on a channel) for the stdio front end, the front end's
-//! worker threads, probes and tests. One stalled backend therefore stalls
-//! only the exchanges addressed to it — never a front-end worker, and
-//! never requests owned by healthy shards.
+//! have an asynchronous spine where retries, write fan-out and read
+//! failover advance from pool completion callbacks, and
+//! [`Router::process_line`] is the blocking wrapper (submit, wait on a
+//! channel) for the stdio front end, the front end's worker threads,
+//! probes and tests. One stalled backend therefore stalls only the
+//! exchanges addressed to it — never a front-end worker, and never
+//! requests owned by healthy shards.
 
 use std::collections::VecDeque;
 use std::io;
@@ -161,9 +163,6 @@ pub type LineCallback = Box<dyn FnOnce(LineOutcome) + Send>;
 
 /// Completion for one backend exchange after retries.
 type ExchangeDone = Box<dyn FnOnce(Result<String, io::Error>) + Send>;
-
-/// Completion for one forwarded per-name op's finished reply line.
-type ReplyDone = Box<dyn FnOnce(String) + Send>;
 
 /// The routing tier's state and request loop body. Cheap to share: the
 /// public handle wraps one [`Arc`]'d core, which asynchronous forwarding
@@ -308,17 +307,122 @@ impl Router {
     }
 
     /// Handle one request line and block until its reply is ready: the
-    /// synchronous surface for the stdio front end, the front end's
-    /// worker threads, and tests. Always produces exactly one response
-    /// line.
+    /// synchronous surface for the stdio front end, probes and tests.
+    /// Always produces exactly one response line.
     ///
     /// Per-name ops park only the *calling* thread — the exchanges they
     /// fan out ride the outbound reactor. Must not be called from a pool
     /// completion callback (it would wait on itself).
     pub fn process_line(&self, line: &str) -> LineOutcome {
+        self.execute_blocking(self.parse(line))
+    }
+
+    /// Handle one request line without blocking on a backend: per-name
+    /// ops return at once and `done` fires from the outbound reactor when
+    /// the forwarded exchange resolves; every other op completes `done`
+    /// before returning.
+    pub fn process_line_deferred(&self, line: &str, done: LineCallback) {
+        self.execute(self.parse(line), done);
+    }
+
+    /// Decode one line into what the router will do with it (and count
+    /// it on `route.requests`). Touches no backend and no routing state.
+    pub(crate) fn parse(&self, line: &str) -> Routed {
+        self.inner.requests.inc();
+        let invalid = |e: StreamError| Routed::Invalid(protocol::err_response(&e));
+        let bad_name = || {
+            invalid(StreamError::InvalidRequest(
+                "field 'name' must be a string".into(),
+            ))
+        };
+        let value = match serde_json::parse_value(line) {
+            Ok(v) => v,
+            Err(e) => return invalid(StreamError::Parse(e.to_string())),
+        };
+        let Some(op) = value.get("op").and_then(Value::as_str) else {
+            return invalid(StreamError::InvalidRequest("missing field 'op'".into()));
+        };
+        let forward = |name: &str| Forward {
+            op: op.to_string(),
+            name: name.to_string(),
+            line: line.to_string(),
+        };
+        let fanout = |fanout| Routed::Broadcast {
+            fanout,
+            line: line.to_string(),
+        };
+        match op {
+            "seed" | "ingest" | "resolve" | "same_as" | "constraint" => {
+                match value.get("name").and_then(Value::as_str) {
+                    None => bad_name(),
+                    Some(name) if op == "resolve" => Routed::Read(forward(name)),
+                    // `same_as` and `constraint` mutate the name's entity
+                    // table, so they take the write path: fan out to every
+                    // replica, buffer misses for repair. Both are idempotent
+                    // (re-asserting a link or re-adding a constraint is a
+                    // no-op), so transport failures retry freely.
+                    Some(name) => Routed::Write(forward(name)),
+                }
+            }
+            // A named `entities` is a read of that name's replica set, with
+            // failover like `resolve`. The name-less form is a fan-out: every
+            // backend reports the tables it holds and the merge keeps one
+            // copy per name (replica-rank preference), so a replicated tier
+            // never lists an entity twice.
+            "entities" => match value.get("name") {
+                Some(Value::String(name)) => Routed::Read(forward(name)),
+                Some(v) if !v.is_null() => bad_name(),
+                _ => fanout(Fanout::Entities),
+            },
+            "health" => Routed::Health,
+            "topology" => match topology_backends(&value) {
+                Ok(backends) => Routed::Topology(backends),
+                Err(e) => invalid(e),
+            },
+            "snapshot" => fanout(Fanout::Snapshot),
+            "metrics" => fanout(Fanout::Metrics),
+            "persist" => fanout(Fanout::Persist),
+            "restore" => fanout(Fanout::Restore),
+            "flush" => fanout(Fanout::Flush),
+            "shutdown" => fanout(Fanout::Shutdown),
+            other => invalid(StreamError::InvalidRequest(format!("unknown op '{other}'"))),
+        }
+    }
+
+    /// Run one parsed request. Per-name ops return immediately and `done`
+    /// fires from the outbound reactor when the forwarded exchange
+    /// (retries, fan-out, failover included) resolves — the TCP front
+    /// end's path, whose reactor hands a request over and goes back to its
+    /// sockets. Everything else completes `done` before returning;
+    /// broadcasts and `topology` block the calling thread for the slowest
+    /// backend, so the TCP front end runs those on worker threads, never
+    /// on its reactor.
+    pub(crate) fn execute(&self, request: Routed, done: LineCallback) {
+        let inner = &self.inner;
+        let (response, shutdown) = match request {
+            Routed::Write(forward) => return forward_write(inner, forward, done),
+            Routed::Read(forward) => return forward_read(inner, forward, done),
+            Routed::Broadcast { fanout, line } => {
+                (inner.fan_out(fanout, &line), fanout == Fanout::Shutdown)
+            }
+            Routed::Health => (inner.health_line(), false),
+            Routed::Topology(backends) => match inner.set_backends(backends) {
+                Ok(line) => (line, false),
+                Err(e) => (
+                    protocol::err_response(&StreamError::InvalidRequest(e.0)),
+                    false,
+                ),
+            },
+            Routed::Invalid(reply) => (reply, false),
+        };
+        done(LineOutcome { response, shutdown });
+    }
+
+    /// [`execute`](Self::execute), waiting for the reply.
+    pub(crate) fn execute_blocking(&self, request: Routed) -> LineOutcome {
         let (tx, rx) = mpsc::channel();
-        self.process_line_deferred(
-            line,
+        self.execute(
+            request,
             Box::new(move |outcome| {
                 let _ = tx.send(outcome);
             }),
@@ -331,142 +435,107 @@ impl Router {
             )))
         })
     }
+}
 
-    /// Handle one request line without blocking the caller: per-name ops
-    /// return immediately and `done` fires from the outbound reactor when
-    /// the forwarded exchange (retries, fan-out, failover included)
-    /// resolves. This is the TCP front end's path — the server reactor
-    /// hands a line over and goes back to its sockets.
-    ///
-    /// Lines that never touch a backend (parse errors, `health`,
-    /// malformed per-name ops) complete `done` before returning. Fan-out
-    /// ops (`snapshot`, `shutdown`, …) block the calling thread for the
-    /// broadcast — the TCP front end classifies those onto worker
-    /// threads, never onto its reactor.
-    pub fn process_line_deferred(&self, line: &str, done: LineCallback) {
-        match dispatch(&self.inner, line) {
-            Routed::Done(outcome) => done(outcome),
-            Routed::Write { op, name } => forward_write(
-                &self.inner,
-                &op,
-                &name,
-                line,
-                Box::new(move |reply| done(LineOutcome::reply(reply))),
-            ),
-            Routed::Read { op, name } => forward_read(
-                &self.inner,
-                &op,
-                &name,
-                line,
-                Box::new(move |reply| done(LineOutcome::reply(reply))),
-            ),
+/// What the router will do with one line: [`Router::parse`]'s result,
+/// which [`Router::execute`] runs.
+pub(crate) enum Routed {
+    /// A per-name write, forwarded to every replica of the name.
+    Write(Forward),
+    /// A per-name read, answered by the first replica that responds.
+    Read(Forward),
+    /// An op broadcast to every backend, its replies merged into one.
+    Broadcast {
+        /// Which merge folds the replies.
+        fanout: Fanout,
+        /// The client's line, sent to every backend as it came.
+        line: String,
+    },
+    /// `health`: the router's own view, no backend contacted.
+    Health,
+    /// `topology`: swap the backend set for these addresses.
+    Topology(Vec<String>),
+    /// A line the router answers itself with this error reply.
+    Invalid(String),
+}
+
+/// A per-name op bound for the name's replica set.
+pub(crate) struct Forward {
+    op: String,
+    name: String,
+    /// The client's line, forwarded as it came.
+    line: String,
+}
+
+/// Which merge folds a broadcast's per-shard replies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Fanout {
+    Snapshot,
+    Entities,
+    Metrics,
+    Persist,
+    Restore,
+    Flush,
+    Shutdown,
+}
+
+/// The `backends` array of a `topology` request.
+fn topology_backends(value: &Value) -> Result<Vec<String>, StreamError> {
+    let Some(entries) = value.get("backends").and_then(Value::as_array) else {
+        return Err(StreamError::InvalidRequest(
+            "field 'backends' must be an array of addresses".into(),
+        ));
+    };
+    entries
+        .iter()
+        .map(|entry| {
+            entry.as_str().map(str::to_string).ok_or_else(|| {
+                StreamError::InvalidRequest("backend addresses must be strings".into())
+            })
+        })
+        .collect()
+}
+
+/// The router's tags on a write answered by `shard`: `acked` of the
+/// `replicas` in the set led by `primary`.
+fn write_tags(shard: usize, primary: usize, replicas: usize, acked: usize) -> String {
+    let mut tags = format!("\"shard\":{shard}");
+    if replicas > 1 {
+        tags += &format!(",\"replication\":{replicas},\"acked\":{acked}");
+        if shard != primary {
+            tags += &format!(",\"primary\":{primary}");
         }
+        if acked < replicas {
+            tags += ",\"degraded\":true,\"repair_pending\":true";
+        }
+    }
+    tags
+}
+
+/// The router's tags on a read answered by `shard` for a name led by
+/// `primary`.
+fn read_tags(shard: usize, primary: usize) -> String {
+    if shard == primary {
+        format!("\"shard\":{shard}")
+    } else {
+        format!("\"shard\":{shard},\"failover\":true,\"primary\":{primary}")
     }
 }
 
-/// Where one parsed line goes next.
-enum Routed {
-    /// Answered without any asynchronous forwarding.
-    Done(LineOutcome),
-    /// A per-name write (`seed`, `ingest`) for the async fan-out path.
-    Write { op: String, name: String },
-    /// The per-name read (`resolve`) for the async failover path.
-    Read { op: String, name: String },
-}
-
-/// Parse and dispatch one line: local answers and (blocking) broadcasts
-/// resolve here; per-name ops come back as [`Routed::Write`]/[`Routed::Read`]
-/// for the caller to forward asynchronously.
-fn dispatch(inner: &Arc<Inner>, line: &str) -> Routed {
-    inner.requests.inc();
-    let value = match serde_json::parse_value(line) {
-        Ok(v) => v,
-        Err(e) => {
-            return Routed::Done(LineOutcome::reply(protocol::err_response(
-                &StreamError::Parse(e.to_string()),
-            )))
-        }
-    };
-    let Some(op) = value.get("op").and_then(Value::as_str) else {
-        return Routed::Done(LineOutcome::reply(protocol::err_response(
-            &StreamError::InvalidRequest("missing field 'op'".into()),
-        )));
-    };
-    let op = op.to_string();
-    match op.as_str() {
-        "seed" | "ingest" | "resolve" | "same_as" | "constraint" => {
-            let Some(name) = value.get("name").and_then(Value::as_str) else {
-                return Routed::Done(LineOutcome::reply(protocol::err_response(
-                    &StreamError::InvalidRequest("field 'name' must be a string".into()),
-                )));
-            };
-            let name = name.to_string();
-            if op == "resolve" {
-                Routed::Read { op, name }
-            } else {
-                // `same_as` and `constraint` mutate the name's entity
-                // table, so they take the write path: fan out to every
-                // replica, buffer misses for repair. Both are idempotent
-                // (re-asserting a link or re-adding a constraint is a
-                // no-op), so transport failures retry freely.
-                Routed::Write { op, name }
-            }
-        }
-        // A named `entities` is a read of that name's replica set, with
-        // failover like `resolve`. The name-less form is a fan-out: every
-        // backend reports the tables it holds and the merge keeps one
-        // copy per name (replica-rank preference), so a replicated tier
-        // never lists an entity twice.
-        "entities" => match value.get("name") {
-            Some(v) if v.as_str().is_some() => Routed::Read {
-                op,
-                name: v.as_str().unwrap().to_string(),
-            },
-            Some(v) if !v.is_null() => Routed::Done(LineOutcome::reply(protocol::err_response(
-                &StreamError::InvalidRequest("field 'name' must be a string".into()),
-            ))),
-            _ => {
-                let topo = inner.topology();
-                let outcomes = broadcast_on(inner, &topo, line);
-                let r = inner.replication_for(&topo);
-                Routed::Done(LineOutcome::reply(merge::merge_entities(
-                    &outcomes, &topo.ring, r,
-                )))
-            }
-        },
-        "health" => Routed::Done(LineOutcome::reply(inner.health_line())),
-        "topology" => Routed::Done(LineOutcome::reply(inner.handle_topology(&value))),
-        "snapshot" => {
-            let topo = inner.topology();
-            let outcomes = broadcast_on(inner, &topo, line);
-            let r = inner.replication_for(&topo);
-            Routed::Done(LineOutcome::reply(merge::merge_snapshot(
-                &outcomes, &topo.ring, r,
-            )))
-        }
-        "metrics" => {
-            let outcomes = broadcast(inner, line);
-            Routed::Done(LineOutcome::reply(merge::merge_metrics(
-                inner.registry.snapshot(),
-                &outcomes,
-            )))
-        }
-        "persist" | "restore" => Routed::Done(LineOutcome::reply(merge::merge_count(
-            &op,
-            &broadcast(inner, line),
-        ))),
-        "flush" => Routed::Done(LineOutcome::reply(merge::merge_plain(
-            "flush",
-            &broadcast(inner, line),
-        ))),
-        "shutdown" => Routed::Done(LineOutcome {
-            response: merge::merge_plain("shutdown", &broadcast(inner, line)),
-            shutdown: true,
-        }),
-        other => Routed::Done(LineOutcome::reply(protocol::err_response(
-            &StreamError::InvalidRequest(format!("unknown op '{other}'")),
-        ))),
+/// `reply` with `tags` spliced in front of its final `}`: the backend's
+/// own bytes are relayed untouched, and a line that is not a `{…}` object
+/// is returned verbatim.
+fn splice(mut reply: String, tags: &str) -> String {
+    if !(reply.starts_with('{') && reply.ends_with('}')) {
+        return reply;
     }
+    reply.pop();
+    if !reply[1..].trim().is_empty() {
+        reply.push(',');
+    }
+    reply.push_str(tags);
+    reply.push('}');
+    reply
 }
 
 /// One exchange against `shard` with bounded retries, advanced entirely
@@ -529,13 +598,11 @@ fn exchange_with_retry(
 struct WriteJoin {
     results: Vec<Option<Result<String, io::Error>>>,
     remaining: usize,
-    finish: Option<(WriteCtx, ReplyDone)>,
+    finish: Option<(WriteCtx, LineCallback)>,
 }
 
 struct WriteCtx {
-    op: String,
-    name: String,
-    line: String,
+    forward: Forward,
     topo: Arc<Topology>,
     set: Vec<usize>,
     start: Instant,
@@ -551,16 +618,15 @@ struct WriteCtx {
 /// client get an `unreachable` error; nothing is buffered then, because
 /// the client's own retry must stay the single writer (buffering too
 /// would double-apply).
-fn forward_write(inner: &Arc<Inner>, op: &str, name: &str, line: &str, done: ReplyDone) {
+fn forward_write(inner: &Arc<Inner>, forward: Forward, done: LineCallback) {
     let topo = inner.topology();
     let r = inner.replication_for(&topo);
-    let set = topo.ring.successors(name, r);
-    let idempotent = op != "ingest";
-    let key = Some(fnv1a(name.as_bytes()));
+    let set = topo.ring.successors(&forward.name, r);
+    let idempotent = forward.op != "ingest";
+    let key = Some(fnv1a(forward.name.as_bytes()));
+    let line = forward.line.clone();
     let ctx = WriteCtx {
-        op: op.to_string(),
-        name: name.to_string(),
-        line: line.to_string(),
+        forward,
         topo: Arc::clone(&topo),
         set: set.clone(),
         start: Instant::now(),
@@ -579,7 +645,7 @@ fn forward_write(inner: &Arc<Inner>, op: &str, name: &str, line: &str, done: Rep
             inner,
             shard,
             key,
-            line.to_string(),
+            line.clone(),
             idempotent,
             0,
             Box::new(move |result| {
@@ -596,14 +662,15 @@ fn forward_write(inner: &Arc<Inner>, op: &str, name: &str, line: &str, done: Rep
                     }
                 };
                 if let Some((ctx, done, results)) = finished {
-                    done(finish_write(&inner_cb, ctx, results));
+                    done(LineOutcome::reply(finish_write(&inner_cb, ctx, results)));
                 }
             }),
         );
     }
 }
 
-/// Assemble the client reply once every replica of a write resolved.
+/// Assemble the client reply once every replica of a write resolved: the
+/// first ack in ring order, tagged, or `unreachable` when none acked.
 fn finish_write(
     inner: &Arc<Inner>,
     ctx: WriteCtx,
@@ -617,52 +684,28 @@ fn finish_write(
             match result {
                 Ok(_) if idx != primary => inner.replica_writes.inc(),
                 Ok(_) => {}
-                Err(_) => inner.queue_repair(&ctx.topo.shards[idx], &ctx.line),
+                Err(_) => inner.queue_repair(&ctx.topo.shards[idx], &ctx.forward.line),
             }
         }
     }
-    let winner = ctx
-        .set
-        .iter()
-        .zip(&results)
-        .find_map(|(&idx, result)| result.as_ref().ok().map(|reply| (idx, reply)));
-    match winner {
-        Some((idx, reply)) => match serde_json::parse_value(reply) {
-            Ok(mut v) => {
-                merge::push_field(&mut v, "shard", Value::Number(idx as f64));
-                if ctx.set.len() > 1 {
-                    merge::push_field(&mut v, "replication", Value::Number(ctx.set.len() as f64));
-                    merge::push_field(&mut v, "acked", Value::Number(acked as f64));
-                    if idx != primary {
-                        merge::push_field(&mut v, "primary", Value::Number(primary as f64));
-                    }
-                    if acked < ctx.set.len() {
-                        merge::push_field(&mut v, "degraded", Value::Bool(true));
-                        merge::push_field(&mut v, "repair_pending", Value::Bool(true));
-                    }
-                }
-                serde_json::to_string(&v).unwrap_or_else(|_| reply.clone())
+    let mut first_error = None;
+    for (&idx, result) in ctx.set.iter().zip(results) {
+        match result {
+            Ok(reply) => return splice(reply, &write_tags(idx, primary, ctx.set.len(), acked)),
+            Err(e) => {
+                first_error.get_or_insert(e);
             }
-            // Relay unparseable replies verbatim: the client decides.
-            Err(_) => reply.clone(),
-        },
-        None => {
-            let error = results[0]
-                .as_ref()
-                .err()
-                .map(|e| e.to_string())
-                .unwrap_or_else(|| "no replica answered".into());
-            inner.unreachable_reply(&ctx.op, &ctx.name, &ctx.topo, &ctx.set, &error)
         }
     }
+    let error = first_error.map_or_else(|| "no replica answered".into(), |e| e.to_string());
+    let Forward { op, name, .. } = &ctx.forward;
+    inner.unreachable_reply(op, name, &ctx.topo, &ctx.set, &error)
 }
 
 /// The in-progress state of one failover read: which replica to try
 /// next, and the last transport error seen.
 struct ReadChase {
-    op: String,
-    name: String,
-    line: String,
+    forward: Forward,
     topo: Arc<Topology>,
     set: Vec<usize>,
     ordered: Vec<usize>,
@@ -670,7 +713,7 @@ struct ReadChase {
     start: Instant,
     pos: usize,
     last_error: Option<io::Error>,
-    done: ReplyDone,
+    done: LineCallback,
 }
 
 /// Forward the per-name read (`resolve`) to the first replica that
@@ -682,10 +725,10 @@ struct ReadChase {
 /// backend but the primary counts as a failover read and is tagged
 /// `failover`/`primary` so clients can see (and operators can count)
 /// reads served by replicas.
-fn forward_read(inner: &Arc<Inner>, op: &str, name: &str, line: &str, done: ReplyDone) {
+fn forward_read(inner: &Arc<Inner>, forward: Forward, done: LineCallback) {
     let topo = inner.topology();
     let r = inner.replication_for(&topo);
-    let set = topo.ring.successors(name, r);
+    let set = topo.ring.successors(&forward.name, r);
     let primary = set[0];
     let mut ordered: Vec<usize> = set
         .iter()
@@ -700,9 +743,7 @@ fn forward_read(inner: &Arc<Inner>, op: &str, name: &str, line: &str, done: Repl
     read_next(
         inner,
         ReadChase {
-            op: op.to_string(),
-            name: name.to_string(),
-            line: line.to_string(),
+            forward,
             topo,
             set,
             ordered,
@@ -722,16 +763,16 @@ fn read_next(inner: &Arc<Inner>, mut chase: ReadChase) {
             .last_error
             .map(|e| e.to_string())
             .unwrap_or_else(|| "no replica answered".into());
-        let reply =
-            inner.unreachable_reply(&chase.op, &chase.name, &chase.topo, &chase.set, &error);
-        (chase.done)(reply);
+        let Forward { op, name, .. } = &chase.forward;
+        let reply = inner.unreachable_reply(op, name, &chase.topo, &chase.set, &error);
+        (chase.done)(LineOutcome::reply(reply));
         return;
     }
     let idx = chase.ordered[chase.pos];
     let shard = Arc::clone(&chase.topo.shards[idx]);
     shard.requests.inc();
-    let key = Some(fnv1a(chase.name.as_bytes()));
-    let line = chase.line.clone();
+    let key = Some(fnv1a(chase.forward.name.as_bytes()));
+    let line = chase.forward.line.clone();
     let inner_cb = Arc::clone(inner);
     exchange_with_retry(
         inner,
@@ -746,22 +787,8 @@ fn read_next(inner: &Arc<Inner>, mut chase: ReadChase) {
                 if idx != chase.primary {
                     inner_cb.failover_reads.inc();
                 }
-                let tagged = match serde_json::parse_value(&reply) {
-                    Ok(mut v) => {
-                        merge::push_field(&mut v, "shard", Value::Number(idx as f64));
-                        if idx != chase.primary {
-                            merge::push_field(&mut v, "failover", Value::Bool(true));
-                            merge::push_field(
-                                &mut v,
-                                "primary",
-                                Value::Number(chase.primary as f64),
-                            );
-                        }
-                        serde_json::to_string(&v).unwrap_or(reply)
-                    }
-                    Err(_) => reply,
-                };
-                (chase.done)(tagged);
+                let reply = splice(reply, &read_tags(idx, chase.primary));
+                (chase.done)(LineOutcome::reply(reply));
             }
             Err(e) => {
                 chase.last_error = Some(e);
@@ -839,6 +866,25 @@ fn broadcast_on(inner: &Arc<Inner>, topo: &Arc<Topology>, line: &str) -> Vec<Sha
 impl Inner {
     fn topology(&self) -> Arc<Topology> {
         unpoisoned(self.topology.read()).clone()
+    }
+
+    /// Broadcast `line` to every backend and fold the replies with the
+    /// merge `fanout` names. The snapshot and entities merges read the
+    /// same topology the broadcast went to, so a concurrent `topology`
+    /// swap cannot pair replies with the wrong ring.
+    fn fan_out(self: &Arc<Self>, fanout: Fanout, line: &str) -> String {
+        let topo = self.topology();
+        let outcomes = broadcast_on(self, &topo, line);
+        let r = self.replication_for(&topo);
+        match fanout {
+            Fanout::Snapshot => merge::merge_snapshot(&outcomes, &topo.ring, r),
+            Fanout::Entities => merge::merge_entities(&outcomes, &topo.ring, r),
+            Fanout::Metrics => merge::merge_metrics(self.registry.snapshot(), &outcomes),
+            Fanout::Persist => merge::merge_count("persist", &outcomes),
+            Fanout::Restore => merge::merge_count("restore", &outcomes),
+            Fanout::Flush => merge::merge_plain("flush", &outcomes),
+            Fanout::Shutdown => merge::merge_plain("shutdown", &outcomes),
+        }
     }
 
     /// The effective replication factor for `topo`: at least 1, never
@@ -1018,29 +1064,6 @@ impl Inner {
         ];
         fields.extend(merge::degraded_fields(&persist_outcomes));
         Ok(merge::render(&merge::object(fields)))
-    }
-
-    fn handle_topology(self: &Arc<Self>, value: &Value) -> String {
-        let Some(entries) = value.get("backends").and_then(Value::as_array) else {
-            return protocol::err_response(&StreamError::InvalidRequest(
-                "field 'backends' must be an array of addresses".into(),
-            ));
-        };
-        let mut backends = Vec::with_capacity(entries.len());
-        for entry in entries {
-            match entry.as_str() {
-                Some(addr) => backends.push(addr.to_string()),
-                None => {
-                    return protocol::err_response(&StreamError::InvalidRequest(
-                        "backend addresses must be strings".into(),
-                    ))
-                }
-            }
-        }
-        match self.set_backends(backends) {
-            Ok(line) => line,
-            Err(e) => protocol::err_response(&StreamError::InvalidRequest(e.0)),
-        }
     }
 
     /// Probe every backend whose probe is due and refresh the gauges.
@@ -1238,5 +1261,214 @@ mod tests {
         let outcome = rx.recv_timeout(Duration::from_secs(10)).unwrap();
         let v = serde_json::parse_value(&outcome.response).unwrap();
         assert_eq!(v.get("kind").unwrap().as_str(), Some("unreachable"));
+    }
+
+    /// The tagging the router did before it relayed bytes, kept as the
+    /// reference: decode the reply, push each tag onto the object,
+    /// re-encode. `set_len` and `acked` describe the write's replica set.
+    fn reencoded_write(
+        reply: &str,
+        idx: usize,
+        primary: usize,
+        set_len: usize,
+        acked: usize,
+    ) -> String {
+        match serde_json::parse_value(reply) {
+            Ok(mut v) => {
+                merge::push_field(&mut v, "shard", Value::Number(idx as f64));
+                if set_len > 1 {
+                    merge::push_field(&mut v, "replication", Value::Number(set_len as f64));
+                    merge::push_field(&mut v, "acked", Value::Number(acked as f64));
+                    if idx != primary {
+                        merge::push_field(&mut v, "primary", Value::Number(primary as f64));
+                    }
+                    if acked < set_len {
+                        merge::push_field(&mut v, "degraded", Value::Bool(true));
+                        merge::push_field(&mut v, "repair_pending", Value::Bool(true));
+                    }
+                }
+                serde_json::to_string(&v).unwrap_or_else(|_| reply.to_string())
+            }
+            Err(_) => reply.to_string(),
+        }
+    }
+
+    /// The read half of the reference tagging.
+    fn reencoded_read(reply: &str, idx: usize, primary: usize) -> String {
+        match serde_json::parse_value(reply) {
+            Ok(mut v) => {
+                merge::push_field(&mut v, "shard", Value::Number(idx as f64));
+                if idx != primary {
+                    merge::push_field(&mut v, "failover", Value::Bool(true));
+                    merge::push_field(&mut v, "primary", Value::Number(primary as f64));
+                }
+                serde_json::to_string(&v).unwrap_or_else(|_| reply.to_string())
+            }
+            Err(_) => reply.to_string(),
+        }
+    }
+
+    /// Every reply shape `protocol` emits, over names and texts that
+    /// exercise JSON escaping.
+    fn daemon_replies() -> Vec<String> {
+        use weber_entity::{
+            Entity, EntityError, MaterializeReport, MentionOrigin, Provenance, SameAsLink, Via,
+        };
+        use weber_stream::{ClusterAssignment, EntityTable, NameSnapshot, SeedSummary};
+        let names = [
+            "cohen".to_string(),
+            "o\"brien \\ back\nslash\ttab\r".to_string(),
+            "ctl \u{1}\u{8}\u{c}\u{1f}\u{7f} and é☃😀".to_string(),
+        ];
+        let mut replies = Vec::new();
+        for name in &names {
+            let summary = SeedSummary {
+                docs: 4,
+                clusters: 2,
+                function: format!("F8 {name}"),
+                criterion: "region accuracy".into(),
+                accuracy: 0.1 + 0.2,
+            };
+            replies.push(protocol::ok_seed(name, &summary));
+            let assignment = ClusterAssignment {
+                doc: 4,
+                cluster: 0,
+                is_new_cluster: false,
+                cluster_size: 3,
+                linked_members: 2,
+                retrained: true,
+            };
+            replies.push(protocol::ok_ingest(name, &assignment));
+            replies.push(protocol::ok_resolve(&NameSnapshot {
+                name: name.clone(),
+                docs: 9,
+                clusters: 3,
+                function: "F10".into(),
+                criterion: "threshold".into(),
+                accuracy: 1.0 / 3.0,
+                members: vec![vec![0, 1, 4], vec![2, 3, 5, 8], vec![6, 7]],
+            }));
+            let table = EntityTable {
+                name: name.clone(),
+                docs: 5,
+                entities: vec![
+                    Entity {
+                        id: 1,
+                        mentions: vec![0, 1, 4],
+                        provenance: vec![
+                            Provenance {
+                                doc: 0,
+                                origin: MentionOrigin::Seed { label: 0 },
+                                via: Via::Partition,
+                            },
+                            Provenance {
+                                doc: 1,
+                                origin: MentionOrigin::Seed { label: 7 },
+                                via: Via::SameAs { a: 1, b: 3 },
+                            },
+                            Provenance {
+                                doc: 4,
+                                origin: MentionOrigin::Ingest,
+                                via: Via::Split,
+                            },
+                        ],
+                    },
+                    Entity {
+                        id: 3,
+                        mentions: vec![2, 3],
+                        provenance: vec![
+                            Provenance {
+                                doc: 2,
+                                origin: MentionOrigin::Ingest,
+                                via: Via::SameAs { a: 1, b: 3 },
+                            },
+                            Provenance {
+                                doc: 3,
+                                origin: MentionOrigin::Ingest,
+                                via: Via::Partition,
+                            },
+                        ],
+                    },
+                ],
+                links: vec![SameAsLink { a: 1, b: 3 }, SameAsLink { a: 3, b: 9 }],
+                constraints: 2,
+                report: MaterializeReport {
+                    entities: 2,
+                    splits: 1,
+                    violations: 3,
+                    vetoed_links: 1,
+                    retained_ids: 1,
+                    resurrected_ids: 1,
+                    fresh_ids: 4,
+                },
+            };
+            replies.push(protocol::ok_entities(&table));
+            replies.push(protocol::ok_same_as(&table, 1, 3, false, true));
+            replies.push(protocol::ok_same_as(&table, 3, 9, true, false));
+            replies.push(protocol::ok_constraint(&table, true));
+            replies.push(protocol::ok_constraint(&table, false));
+            for error in [
+                StreamError::Parse(format!("unexpected {name:?} at byte 0")),
+                StreamError::UnknownName(name.clone()),
+                StreamError::EmptySeed(name.clone()),
+                StreamError::SeedMismatch {
+                    name: name.clone(),
+                    docs: 4,
+                    labels: 3,
+                },
+                StreamError::Training(weber_core::CoreError::NoFunctions),
+                StreamError::InvalidRequest(format!("field '{name}' must be a string")),
+                StreamError::Overloaded,
+                StreamError::Persistence(format!("cannot write {name}")),
+                StreamError::SnapshotRejected(format!("digest of {name} differs")),
+                StreamError::Entity(EntityError::UnknownEntity(7)),
+                StreamError::Entity(EntityError::UnknownLink(1, 2)),
+            ] {
+                replies.push(protocol::err_response(&error));
+            }
+        }
+        replies
+    }
+
+    #[test]
+    fn relayed_replies_are_byte_identical_to_the_reencoded_ones() {
+        let replies = daemon_replies();
+        assert!(replies.len() > 50);
+        for reply in &replies {
+            // R=1; R=2 acked by both; R=2 degraded; R=2 and R=3 answered
+            // by a non-primary after the primary missed the write.
+            for (idx, primary, set_len, acked) in [
+                (0, 0, 1, 1),
+                (2, 2, 1, 1),
+                (1, 1, 2, 2),
+                (1, 1, 2, 1),
+                (0, 1, 2, 1),
+                (2, 0, 3, 2),
+            ] {
+                assert_eq!(
+                    splice(reply.clone(), &write_tags(idx, primary, set_len, acked)),
+                    reencoded_write(reply, idx, primary, set_len, acked),
+                    "write ({idx}, {primary}, {set_len}, {acked}) of {reply}"
+                );
+            }
+            // A read from the primary, and a failover read.
+            for (idx, primary) in [(1, 1), (0, 2)] {
+                assert_eq!(
+                    splice(reply.clone(), &read_tags(idx, primary)),
+                    reencoded_read(reply, idx, primary),
+                    "read ({idx}, {primary}) of {reply}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn non_object_replies_are_relayed_verbatim() {
+        for reply in ["not json", "[1]", "", "[1, 2]", "{\"ok\":true} trailing"] {
+            assert_eq!(splice(reply.into(), &write_tags(0, 1, 2, 1)), reply);
+            assert_eq!(splice(reply.into(), &read_tags(0, 1)), reply);
+        }
+        // An empty object takes the tags without a leading comma.
+        assert_eq!(splice("{}".into(), &read_tags(1, 1)), r#"{"shard":1}"#);
     }
 }

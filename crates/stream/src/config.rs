@@ -1,4 +1,5 @@
-//! Configuration of the streaming resolver and its front end.
+//! Configuration of the streaming resolver. The TCP front end's pool is
+//! sized by [`TcpOptions`](crate::TcpOptions) alone.
 
 use weber_core::resolver::ResolverConfig;
 
@@ -14,20 +15,13 @@ pub enum AssignmentPolicy {
     TransitiveClosure,
 }
 
-/// Configuration of a [`StreamResolver`](crate::StreamResolver) and the
-/// front end wrapped around it.
-#[derive(Debug, Clone)]
+/// Configuration of a [`StreamResolver`](crate::StreamResolver). The
+/// default trains with [`ResolverConfig::default`] and persists nothing.
+#[derive(Debug, Clone, Default)]
 pub struct StreamConfig {
     /// The batch resolver configuration used to train each name's decision
     /// model on its seed batch (functions, criteria, input partitioning).
     pub resolver: ResolverConfig,
-    /// Per-worker admission-queue capacity of the TCP front end, as the
-    /// `health` op reports it; a full queue rejects data-plane requests
-    /// with an `overloaded` response instead of blocking.
-    pub queue_capacity: usize,
-    /// Worker threads of the TCP front end, as the `health` op reports
-    /// them.
-    pub workers: usize,
     /// Directory per-name state records persist into (and restore from).
     /// `None` disables persistence: `persist`/`restore` become no-ops and
     /// eviction is unavailable.
@@ -39,31 +33,7 @@ pub struct StreamConfig {
     pub max_names: Option<usize>,
 }
 
-impl Default for StreamConfig {
-    fn default() -> Self {
-        Self {
-            resolver: ResolverConfig::default(),
-            queue_capacity: 64,
-            workers: 2,
-            state_dir: None,
-            max_names: None,
-        }
-    }
-}
-
 impl StreamConfig {
-    /// Override the admission-queue capacity (clamped to at least 1).
-    pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
-        self.queue_capacity = capacity.max(1);
-        self
-    }
-
-    /// Override the worker count (clamped to at least 1).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
     /// Enable persistence into the given state directory.
     pub fn with_state_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.state_dir = Some(dir.into());
@@ -83,20 +53,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_are_sane() {
-        let c = StreamConfig::default();
-        assert!(c.queue_capacity >= 1);
-        assert!(c.workers >= 1);
-    }
-
-    #[test]
     fn builders_clamp() {
-        let c = StreamConfig::default()
-            .with_queue_capacity(0)
-            .with_workers(0)
-            .with_max_names(0);
-        assert_eq!(c.queue_capacity, 1);
-        assert_eq!(c.workers, 1);
+        let c = StreamConfig::default().with_max_names(0);
         assert_eq!(c.max_names, Some(1));
     }
 

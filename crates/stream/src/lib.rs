@@ -24,7 +24,8 @@
 //!   over stdin/stdout or TCP — concurrent connections over one shared
 //!   resolver on the `weber-net` reactor, with bounded per-worker
 //!   admission queues and explicit `overloaded` backpressure; every line
-//!   executes through [`service::process_line`];
+//!   is parsed once ([`protocol::parse_request`]) and executes through
+//!   [`service::process_request`];
 //! - per-name state optionally **persists** to a state directory as
 //!   atomic, durable, versioned records (`persist`/`restore` ops; a
 //!   restore adopts the stored model and partition and replays only

@@ -50,6 +50,13 @@ pub struct StreamMetrics {
     /// worker pool keeps in this same registry. Reads 0 when no listener
     /// runs on this resolver (stdio, embedders).
     pub queue_depth: Arc<Gauge>,
+    /// Worker threads of the running TCP pool:
+    /// [`weber_net::WORKERS_GAUGE`], set by `weber-net` while a listener
+    /// runs on this resolver, 0 otherwise.
+    pub workers: Arc<Gauge>,
+    /// Per-worker queue slots of the running TCP pool:
+    /// [`weber_net::QUEUE_CAPACITY_GAUGE`], 0 when no listener runs.
+    pub queue_capacity: Arc<Gauge>,
     /// Wall time of one entity-table materialization (constraint-aware
     /// splitting + stable-ID matching + `SAME_AS` unions), µs.
     pub entity_materialize_us: Arc<Histogram>,
@@ -93,6 +100,8 @@ impl StreamMetrics {
             restore_replays: s.counter("restore_replays"),
             persists: s.counter("persists"),
             queue_depth: registry.gauge(weber_net::QUEUE_DEPTH_GAUGE),
+            workers: registry.gauge(weber_net::WORKERS_GAUGE),
+            queue_capacity: registry.gauge(weber_net::QUEUE_CAPACITY_GAUGE),
             cache: Arc::new(CacheStats::new()),
             registry,
         }

@@ -304,12 +304,6 @@ pub fn parse_request(line: &str) -> Result<Request, StreamError> {
     }
 }
 
-/// True when the line is a shutdown request (cheap peek the server's read
-/// loop uses to know when to stop accepting input).
-pub fn is_shutdown(line: &str) -> bool {
-    matches!(parse_request(line), Ok(Request::Shutdown))
-}
-
 fn object(fields: Vec<(&str, Value)>) -> Value {
     Value::Object(
         fields
@@ -878,13 +872,6 @@ mod tests {
             Request::Seed { docs, .. } => assert_eq!(docs[0].label, u32::MAX),
             other => panic!("{other:?}"),
         }
-    }
-
-    #[test]
-    fn shutdown_peek() {
-        assert!(is_shutdown(r#"{"op":"shutdown"}"#));
-        assert!(!is_shutdown(r#"{"op":"flush"}"#));
-        assert!(!is_shutdown("garbage"));
     }
 
     #[test]

@@ -58,9 +58,11 @@ pub struct HealthReport {
     /// Request lines queued for the TCP front end's workers right now
     /// (not counting the ones executing).
     pub queue_depth: i64,
-    /// Configured worker threads.
+    /// Worker threads of the running TCP pool; 0 when no listener runs
+    /// on this resolver (stdio, in-process).
     pub workers: usize,
-    /// Configured per-worker admission-queue capacity.
+    /// Per-worker admission-queue capacity of the running TCP pool; 0
+    /// when no listener runs.
     pub queue_capacity: usize,
 }
 
@@ -240,8 +242,8 @@ impl StreamResolver {
             uptime: self.uptime(),
             names: unpoisoned(self.names.read()).len(),
             queue_depth: self.metrics.queue_depth.get(),
-            workers: self.config.workers,
-            queue_capacity: self.config.queue_capacity,
+            workers: self.metrics.workers.get().max(0) as usize,
+            queue_capacity: self.metrics.queue_capacity.get().max(0) as usize,
         }
     }
 
@@ -1107,8 +1109,8 @@ mod tests {
         r.seed("cohen", &seed_docs()).unwrap();
         let h = r.health();
         assert_eq!(h.names, 1);
-        assert_eq!(h.queue_depth, 0);
-        assert!(h.workers >= 1 && h.queue_capacity >= 1);
+        // No listener runs on this resolver, so there is no pool to report.
+        assert_eq!((h.queue_depth, h.workers, h.queue_capacity), (0, 0, 0));
         std::thread::sleep(std::time::Duration::from_millis(2));
         assert!(r.health().uptime > h.uptime);
     }

@@ -2,18 +2,22 @@
 //!
 //! Both front ends execute every request line through one adapter,
 //! `ResolverService`, the [`weber_net::NdjsonService`] over a
-//! [`StreamResolver`]. The TCP front end runs it on the `weber-net`
+//! [`StreamResolver`]. Its `parse` is [`protocol::parse_request`] plus the
+//! routing decision, run once per line; its `process` is
+//! [`service::process_request`](crate::service::process_request) on the
+//! request `parse` produced. The TCP front end runs it on the `weber-net`
 //! epoll reactor: one acceptor/reactor thread multiplexes every
-//! connection, a small worker pool shared by all clients executes request
-//! lines (named ops stick to `hash(name) % workers`, so one name's lines
-//! run in admission order), and a per-connection reorder buffer keeps
-//! replies in request order. That holds tens of thousands of mostly-idle
-//! persistent connections on a handful of threads. `health` probes are
-//! answered on the reactor thread itself, bypassing the queues;
-//! data-plane lines shed with an `overloaded` reply when their worker
-//! queue is full; control-plane lines never shed; over-cap clients get
-//! one `overloaded` line and a close; any client sending `shutdown`
-//! drains the daemon.
+//! connection, a small worker pool shared by all clients executes parsed
+//! requests (named ops stick to `hash(name) % workers`, so one name's
+//! requests run in admission order), and a per-connection reorder buffer
+//! keeps replies in request order. That holds tens of thousands of
+//! mostly-idle persistent connections on a handful of threads. `health`
+//! probes are answered on the reactor thread itself, bypassing the
+//! queues, and so are lines that do not parse (their error reply is all
+//! there is to do); data-plane requests shed with an `overloaded` reply
+//! when their worker queue is full; control-plane requests never shed;
+//! over-cap clients get one `overloaded` line and a close; any client
+//! sending `shutdown` drains the daemon.
 //!
 //! The stdio front end ([`serve_stdio`]) is one blocking connection
 //! ([`weber_net::serve_lines`]): each line is answered before the next
@@ -23,7 +27,7 @@ use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
 
-use weber_net::{RouteClass, ServerOptions};
+use weber_net::{Parsed, RouteClass, ServerOptions};
 
 use crate::error::StreamError;
 use crate::protocol::{self, Request};
@@ -103,8 +107,8 @@ pub fn serve_listener(
 
 /// The adapter putting a [`StreamResolver`] behind `weber-net`: named
 /// ops stick to `hash(name)`, control ops are never shed, `health`
-/// bypasses the queues entirely, and processing goes through
-/// [`process_line`](crate::service::process_line).
+/// bypasses the queues entirely, and execution is
+/// [`process_request`](crate::service::process_request).
 struct ResolverService {
     resolver: Arc<StreamResolver>,
 }
@@ -118,28 +122,33 @@ fn name_key(name: &str) -> u64 {
 }
 
 impl weber_net::NdjsonService for ResolverService {
-    fn classify(&self, line: &str) -> RouteClass {
-        match protocol::parse_request(line) {
-            // Health never waits behind the backlog it is probing, and a
-            // malformed line's error reply costs nothing to compute:
-            // both are answered on the reactor thread.
-            Ok(Request::Health) | Err(_) => RouteClass::Immediate,
-            Ok(Request::Seed { name, .. })
-            | Ok(Request::Ingest { name, .. })
-            | Ok(Request::Resolve { name })
-            | Ok(Request::Entities { name: Some(name) })
-            | Ok(Request::SameAs { name, .. })
-            | Ok(Request::Constraint { name, .. }) => RouteClass::Data(name_key(&name)),
-            Ok(_) => RouteClass::Control,
+    type Request = Request;
+
+    fn parse(&self, line: &str) -> Parsed<Request> {
+        let request = match protocol::parse_request(line) {
+            Ok(request) => request,
+            Err(e) => return Parsed::Reply(protocol::err_response(&e)),
+        };
+        let class = match &request {
+            // Health never waits behind the backlog it is probing.
+            Request::Health => RouteClass::Immediate,
+            Request::Seed { name, .. }
+            | Request::Ingest { name, .. }
+            | Request::Resolve { name }
+            | Request::Entities { name: Some(name) }
+            | Request::SameAs { name, .. }
+            | Request::Constraint { name, .. } => RouteClass::Data(name_key(name)),
+            _ => RouteClass::Control,
+        };
+        Parsed::Request {
+            shutdown: matches!(request, Request::Shutdown),
+            request,
+            class,
         }
     }
 
-    fn process(&self, line: &str) -> weber_net::Reply {
-        let shutdown = line.contains("shutdown") && protocol::is_shutdown(line);
-        weber_net::Reply {
-            line: crate::service::process_line(&self.resolver, line),
-            shutdown,
-        }
+    fn process(&self, request: Request) -> String {
+        crate::service::process_request(&self.resolver, &request)
     }
 
     fn overloaded_reply(&self) -> String {
@@ -152,12 +161,6 @@ impl weber_net::NdjsonService for ResolverService {
 
     fn internal_error_reply(&self, detail: &str) -> String {
         protocol::err_response(&StreamError::InvalidRequest(detail.to_string()))
-    }
-
-    fn is_shutdown_line(&self, line: &str) -> bool {
-        // The substring test keeps the reactor from re-parsing every
-        // line; only candidates pay for the full parse.
-        line.contains("shutdown") && protocol::is_shutdown(line)
     }
 }
 
@@ -300,8 +303,43 @@ mod tests {
     }
 
     #[test]
+    fn health_reports_the_pool_the_daemon_runs() {
+        // The pool is sized by TcpOptions alone; health must report that
+        // pool while it runs, and nothing once it has stopped.
+        use std::net::TcpStream;
+        let resolver = resolver();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let options = TcpOptions {
+            workers: 3,
+            queue_capacity: 17,
+            ..TcpOptions::default()
+        };
+        let served = Arc::clone(&resolver);
+        let server =
+            std::thread::spawn(move || serve_listener(served, listener, &options).unwrap());
+        let client = TcpStream::connect(addr).unwrap();
+        let mut writer = client.try_clone().unwrap();
+        let mut reader = BufReader::new(client);
+        writeln!(writer, r#"{{"op":"health"}}"#).unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let v = serde_json::parse_value(line.trim()).unwrap();
+        assert_eq!(v.get("workers").unwrap().as_u64(), Some(3), "{line}");
+        assert_eq!(
+            v.get("queue_capacity").unwrap().as_u64(),
+            Some(17),
+            "{line}"
+        );
+        writeln!(writer, r#"{{"op":"shutdown"}}"#).unwrap();
+        server.join().unwrap();
+        let after = resolver.health();
+        assert_eq!((after.workers, after.queue_capacity), (0, 0));
+    }
+
+    #[test]
     fn a_pipelined_resolve_sees_the_ingest_admitted_before_it() {
-        // One write, no waiting: `resolve` must classify to the same
+        // One write, no waiting: `resolve` must route to the same
         // worker as its name's writes, or it would run on an idle worker
         // while the seed is still training and miss the grown block. The
         // name is one whose worker is not worker 0, where a `resolve`

@@ -1,9 +1,9 @@
-//! Request execution: one parsed [`Request`] (or one raw line) against a
-//! [`StreamResolver`], one reply line back. This is the whole service
-//! layer — queueing, ordering and backpressure belong to the front end
-//! (`weber-net`'s reactor for TCP, its blocking loop for stdio; see
-//! [`server`](crate::server)), which calls [`process_line`] from whatever
-//! thread it chose.
+//! Request execution: one parsed [`Request`] against a [`StreamResolver`],
+//! one reply line back. This is the whole service layer — parsing happens
+//! once, in the front end, and queueing, ordering and backpressure belong
+//! there too (`weber-net`'s reactor for TCP, its blocking loop for stdio;
+//! see [`server`](crate::server)), which calls [`process_request`] from
+//! whatever thread it chose.
 
 use crate::protocol::{self, Request};
 use crate::resolver::StreamResolver;
@@ -66,14 +66,6 @@ pub fn process_request(resolver: &StreamResolver, request: &Request) -> String {
     }
 }
 
-/// Parse and process one request line.
-pub fn process_line(resolver: &StreamResolver, line: &str) -> String {
-    match protocol::parse_request(line) {
-        Ok(request) => process_request(resolver, &request),
-        Err(e) => protocol::err_response(&e),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,11 +95,12 @@ mod tests {
     }
 
     fn reply(resolver: &StreamResolver, line: &str) -> serde::Value {
-        serde_json::parse_value(&process_line(resolver, line)).unwrap()
+        let request = protocol::parse_request(line).unwrap();
+        serde_json::parse_value(&process_request(resolver, &request)).unwrap()
     }
 
     #[test]
-    fn process_line_works_without_a_queue() {
+    fn process_request_works_without_a_queue() {
         let r = resolver();
         let v = reply(&r, &seed_line());
         assert_eq!(v.get("ok").unwrap().as_bool(), Some(true));
@@ -178,9 +171,11 @@ mod tests {
             .get("stream.ingest_us")
             .unwrap();
         assert_eq!(ingest_us.get("count").unwrap().as_u64(), Some(3));
-        // No pool is running, so its backlog gauge reads zero.
+        // No pool is running, so its backlog and size gauges read zero.
         let gauges = v.get("gauges").unwrap();
-        assert_eq!(gauges.get("net.queue_depth").unwrap().as_u64(), Some(0));
+        for gauge in ["net.queue_depth", "net.workers", "net.queue_capacity"] {
+            assert_eq!(gauges.get(gauge).unwrap().as_u64(), Some(0), "{gauge}");
+        }
         assert!(gauges.get("stream.queue_depth").is_none());
     }
 }

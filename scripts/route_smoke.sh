@@ -5,9 +5,11 @@
 # router. Then repeats the exercise with `--replication 2` and one
 # backend killed: every name must still resolve ok and the router must
 # report failover reads. Finally fronts a fresh pair of backends with a
-# TCP router: health/seed/ingest/resolve must round-trip and the routed
-# shutdown must stop the whole tier. Fails on any unexpected response
-# line. Used by scripts/check.sh.
+# TCP router: health/seed/ingest/resolve must round-trip, a routed
+# resolve must be the owning backend's own reply line with only the
+# router's shard tag spliced in, and the routed shutdown must stop the
+# whole tier. Fails on any unexpected response line. Used by
+# scripts/check.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -278,14 +280,29 @@ fi
 
 OUT3="$WORK/tcp.ndjson"
 exec 4<>"/dev/tcp/127.0.0.1/$RPORT"
-cat >&4 <<'EOF'
-{"op":"health"}
-{"op":"seed","name":"cohen","docs":[{"text":"databases are fun and databases are important","label":0},{"text":"databases are hard but databases pay well","label":0},{"text":"gardening tips for growing roses","label":1},{"text":"gardening advice on pruning roses","label":1}]}
-{"op":"ingest","name":"cohen","text":"a new page about databases"}
-{"op":"resolve","name":"cohen"}
-{"op":"shutdown"}
-EOF
-head -n 5 <&4 >"$OUT3" || true
+routed() {
+    local reply
+    printf '%s\n' "$1" >&4
+    IFS= read -r reply <&4
+    printf '%s\n' "$reply" >>"$OUT3"
+    ROUTED="$reply"
+}
+routed '{"op":"health"}'
+routed '{"op":"seed","name":"cohen","docs":[{"text":"databases are fun and databases are important","label":0},{"text":"databases are hard but databases pay well","label":0},{"text":"gardening tips for growing roses","label":1},{"text":"gardening advice on pruning roses","label":1}]}'
+routed '{"op":"ingest","name":"cohen","text":"a new page about databases"}'
+# The relay check: ask cohen's owning backend directly, then the router.
+owner=$(grep -o '"shard":[0-9]*' <<<"$ROUTED" | head -n1)
+owner="${owner##*:}"
+DIRECT=""
+if [[ -n "$owner" ]]; then
+    exec 5<>"/dev/tcp/127.0.0.1/${MPORTS[$owner]}"
+    printf '%s\n' '{"op":"resolve","name":"cohen"}' >&5
+    IFS= read -r DIRECT <&5
+    exec 5>&- 5<&-
+fi
+routed '{"op":"resolve","name":"cohen"}'
+RESOLVED="$ROUTED"
+routed '{"op":"shutdown"}'
 exec 4>&- 4<&-
 
 fail3() {
@@ -301,6 +318,15 @@ grep -q '"ok":false' "$OUT3" && fail3 "found a failed response"
 grep -q '"op":"health"' "$OUT3" || fail3 "missing health response"
 grep '"op":"ingest"' "$OUT3" | grep -vq '"shard":' && fail3 "ingest reply missing shard tag"
 grep '"op":"resolve"' "$OUT3" | grep -vq '"shard":' && fail3 "resolve reply missing shard tag"
+[[ -n "$owner" ]] || fail3 "could not find cohen's owning shard"
+[[ "$DIRECT" == '{"ok":true,"op":"resolve",'*'}' ]] \
+    || fail3 "the owning backend's resolve was not ok: $DIRECT"
+# The router relays the backend's bytes: no re-encoding, no reordering,
+# only its tag in front of the final brace.
+[[ "$RESOLVED" == "${DIRECT%\}},\"shard\":$owner}" ]] \
+    || fail3 "routed resolve is not the backend's line plus its shard tag:
+  direct: $DIRECT
+  routed: $RESOLVED"
 grep -q '"op":"shutdown"' "$OUT3" || fail3 "missing shutdown ack"
 
 for pid in "$RPID" "${MPIDS[@]}"; do

@@ -550,9 +550,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         Some(_) => load_dataset(flags)?.gazetteer,
         None => weber::extract::gazetteer::Gazetteer::new(),
     };
-    let mut config = StreamConfig::default()
-        .with_workers(workers)
-        .with_queue_capacity(queue);
+    let mut config = StreamConfig::default();
     if let Some(dir) = flags.get("state-dir") {
         config = config.with_state_dir(dir);
     }
