@@ -140,6 +140,32 @@ impl ConstraintSet {
             .map(Constraint::kind)
     }
 
+    /// `named[doc]` is true when some constraint names mention `doc`,
+    /// for every `doc < docs`. Every constraint forbids only pairs of
+    /// mentions it names, so a mention no constraint names is in no
+    /// constraint-forbidden pair.
+    pub(crate) fn named_mentions(&self, docs: usize) -> Vec<bool> {
+        let mut named = vec![false; docs];
+        let mut mark = |doc: usize| {
+            if let Some(slot) = named.get_mut(doc) {
+                *slot = true;
+            }
+        };
+        for constraint in &self.items {
+            match constraint {
+                Constraint::CannotLink { a, b } => {
+                    mark(*a);
+                    mark(*b);
+                }
+                Constraint::OneToOne { values: pairs, .. }
+                | Constraint::TypeBoundary { types: pairs } => {
+                    pairs.iter().for_each(|(doc, _)| mark(*doc))
+                }
+            }
+        }
+        named
+    }
+
     /// Unmet one-to-one merges: pairs of mentions that carry the *same*
     /// value of some one-to-one key but sit in different entities
     /// (`entity_of[doc]` maps each mention to its entity's index).

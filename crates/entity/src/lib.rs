@@ -41,8 +41,8 @@ mod store;
 
 pub use constraint::{Constraint, ConstraintSet};
 pub use state::{
-    EntityState, LinkState, OneToOneState, PairState, TableState, TypedDocState, ENTITY_FILE_MAGIC,
-    ENTITY_FILE_VERSION,
+    EntityState, LinkState, OneToOneState, PairState, TableState, TypeBoundaryState, TypedDocState,
+    ENTITY_FILE_MAGIC, ENTITY_FILE_MIN_VERSION, ENTITY_FILE_VERSION,
 };
 pub use store::{
     Entity, EntityError, EntityStore, MaterializeReport, MentionOrigin, Provenance, SameAsLink, Via,

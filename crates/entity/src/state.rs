@@ -5,6 +5,11 @@
 //! become string tokens, pairs become two-field structs. The record is
 //! self-describing (`magic` + `version`) exactly like the per-name
 //! clustering records `weber-stream` writes next to it.
+//!
+//! Version 2 keeps one tag list per type-boundary constraint
+//! (`type_boundaries`). Version 1 merged every type constraint's tags
+//! into one `types` list; such a record is still read, as the single
+//! merged constraint it stores.
 
 use serde::{Deserialize, Serialize};
 
@@ -13,8 +18,10 @@ use crate::store::{Entity, EntityStore, MentionOrigin, Provenance, SameAsLink, V
 
 /// Magic tag identifying an entity-table record on disk.
 pub const ENTITY_FILE_MAGIC: &str = "weber-entity-state";
-/// Current record version; readers reject anything else.
-pub const ENTITY_FILE_VERSION: u32 = 1;
+/// Current record version, the one writers produce.
+pub const ENTITY_FILE_VERSION: u32 = 2;
+/// Oldest record version readers still accept.
+pub const ENTITY_FILE_MIN_VERSION: u32 = 1;
 
 /// One mention pair (cannot-link endpoints).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -41,6 +48,13 @@ pub struct OneToOneState {
     pub key: String,
     /// Mention tags.
     pub values: Vec<TypedDocState>,
+}
+
+/// A type-boundary constraint: its mention tags.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct TypeBoundaryState {
+    /// Mention tags.
+    pub types: Vec<TypedDocState>,
 }
 
 /// An active `SAME_AS` link.
@@ -95,8 +109,24 @@ pub struct TableState {
     pub cannot_link: Vec<PairState>,
     /// One-to-one constraints.
     pub one_to_one: Vec<OneToOneState>,
-    /// Type-boundary tags (a single merged tag list).
+    /// Version 1's merged type-boundary tags, read back as one
+    /// constraint; version 2 writes it empty.
     pub types: Vec<TypedDocState>,
+    /// Type-boundary constraints, one tag list each (absent in version 1).
+    pub type_boundaries: Option<Vec<TypeBoundaryState>>,
+}
+
+fn tags_to_state(tags: &[(usize, String)]) -> Vec<TypedDocState> {
+    tags.iter()
+        .map(|(doc, value)| TypedDocState {
+            doc: *doc,
+            value: value.clone(),
+        })
+        .collect()
+}
+
+fn tags_from_state(tags: &[TypedDocState]) -> Vec<(usize, String)> {
+    tags.iter().map(|t| (t.doc, t.value.clone())).collect()
 }
 
 fn entity_to_state(entity: &Entity) -> EntityState {
@@ -178,7 +208,9 @@ impl TableState {
             cannot_link: Vec::new(),
             one_to_one: Vec::new(),
             types: Vec::new(),
+            type_boundaries: None,
         };
+        let mut type_boundaries = Vec::new();
         for constraint in constraints.items() {
             match constraint {
                 Constraint::CannotLink { a, b } => {
@@ -186,24 +218,14 @@ impl TableState {
                 }
                 Constraint::OneToOne { key, values } => state.one_to_one.push(OneToOneState {
                     key: key.clone(),
-                    values: values
-                        .iter()
-                        .map(|(doc, value)| TypedDocState {
-                            doc: *doc,
-                            value: value.clone(),
-                        })
-                        .collect(),
+                    values: tags_to_state(values),
                 }),
-                Constraint::TypeBoundary { types } => {
-                    state
-                        .types
-                        .extend(types.iter().map(|(doc, value)| TypedDocState {
-                            doc: *doc,
-                            value: value.clone(),
-                        }))
-                }
+                Constraint::TypeBoundary { types } => type_boundaries.push(TypeBoundaryState {
+                    types: tags_to_state(types),
+                }),
             }
         }
+        state.type_boundaries = Some(type_boundaries);
         state
     }
 
@@ -215,10 +237,10 @@ impl TableState {
                 self.magic
             ));
         }
-        if self.version != ENTITY_FILE_VERSION {
+        if !(ENTITY_FILE_MIN_VERSION..=ENTITY_FILE_VERSION).contains(&self.version) {
             return Err(format!(
-                "unsupported entity-table version {} (expected {})",
-                self.version, ENTITY_FILE_VERSION
+                "unsupported entity-table version {} (expected {}..={})",
+                self.version, ENTITY_FILE_MIN_VERSION, ENTITY_FILE_VERSION
             ));
         }
         let mut constraints = ConstraintSet::new();
@@ -231,20 +253,17 @@ impl TableState {
         for oto in &self.one_to_one {
             constraints.add(Constraint::OneToOne {
                 key: oto.key.clone(),
-                values: oto
-                    .values
-                    .iter()
-                    .map(|t| (t.doc, t.value.clone()))
-                    .collect(),
+                values: tags_from_state(&oto.values),
             });
         }
         if !self.types.is_empty() {
             constraints.add(Constraint::TypeBoundary {
-                types: self
-                    .types
-                    .iter()
-                    .map(|t| (t.doc, t.value.clone()))
-                    .collect(),
+                types: tags_from_state(&self.types),
+            });
+        }
+        for boundary in self.type_boundaries.iter().flatten() {
+            constraints.add(Constraint::TypeBoundary {
+                types: tags_from_state(&boundary.types),
             });
         }
         Ok(EntityStore::from_parts(
@@ -292,14 +311,75 @@ mod tests {
         assert_eq!(restored.constraints().len(), store.constraints().len());
     }
 
+    /// Two type constraints over clusters that each mix their types only
+    /// across constraints: neither forbids a pair, so nothing splits.
+    fn two_type_constraints() -> (EntityStore, Vec<Vec<usize>>, Vec<MentionOrigin>) {
+        let mut store = EntityStore::new("cohen");
+        let tag = |doc: usize, value: &str| (doc, value.to_string());
+        store.add_constraint(Constraint::TypeBoundary {
+            types: vec![tag(0, "person"), tag(2, "org")],
+        });
+        store.add_constraint(Constraint::TypeBoundary {
+            types: vec![tag(1, "person"), tag(3, "org")],
+        });
+        (
+            store,
+            vec![vec![0, 3], vec![1, 2]],
+            vec![MentionOrigin::Ingest; 4],
+        )
+    }
+
+    #[test]
+    fn each_type_constraint_survives_the_round_trip() {
+        let (mut store, clusters, origins) = two_type_constraints();
+        let before = store.materialize(&clusters, &origins);
+        assert_eq!((before.violations, before.entities), (0, 2));
+        let json = serde_json::to_string(&TableState::capture(&store)).unwrap();
+        let back: TableState = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.version, ENTITY_FILE_VERSION);
+        let mut restored = back.restore().unwrap();
+        assert_eq!(restored.constraints().items(), store.constraints().items());
+        let after = restored.materialize(&clusters, &origins);
+        assert_eq!(
+            format!("{after:?}"),
+            format!("{:?}", store.materialize(&clusters, &origins))
+        );
+        assert_eq!(restored.entities(), store.entities());
+    }
+
+    #[test]
+    fn version_one_records_read_their_merged_types_as_one_constraint() {
+        let (store, clusters, origins) = two_type_constraints();
+        let mut state = TableState::capture(&store);
+        state.version = 1;
+        state.types = state
+            .type_boundaries
+            .take()
+            .unwrap()
+            .into_iter()
+            .flat_map(|boundary| boundary.types)
+            .collect();
+        let json = serde_json::to_string(&state)
+            .unwrap()
+            .replace(",\"type_boundaries\":null", "");
+        assert!(!json.contains("type_boundaries"));
+        let back: TableState = serde_json::from_str(&json).unwrap();
+        let mut restored = back.restore().unwrap();
+        assert_eq!(restored.constraints().len(), 1);
+        let report = restored.materialize(&clusters, &origins);
+        assert_eq!((report.violations, report.entities), (2, 4));
+    }
+
     #[test]
     fn restore_rejects_wrong_magic_and_version() {
         let store = EntityStore::new("x");
         let mut state = TableState::capture(&store);
         state.magic = "other".into();
         assert!(state.restore().is_err());
-        let mut state = TableState::capture(&store);
-        state.version = 99;
-        assert!(state.restore().is_err());
+        for version in [0, ENTITY_FILE_VERSION + 1] {
+            let mut state = TableState::capture(&store);
+            state.version = version;
+            assert!(state.restore().is_err());
+        }
     }
 }

@@ -178,12 +178,22 @@ pub struct StreamResolver {
     /// counts survive eviction and re-seeding.
     metrics: StreamMetrics,
     /// Per-name canonical entity tables, built lazily on the first entity
-    /// op that touches a name (restored from disk when a record exists).
-    /// One mutex over the map: entity ops are orders of magnitude rarer
-    /// than ingests, and the per-name state lock is never held while this
-    /// one is taken (clusters are snapshotted out first), so the two lock
+    /// op that touches a name (restored from disk when a record exists)
+    /// and persisted-then-dropped when the name is evicted. One mutex over
+    /// the map: entity ops are orders of magnitude rarer than ingests, and
+    /// the per-name state lock is never held while this one is taken
+    /// (clusters are snapshotted out first, and eviction releases the
+    /// victim's state lock before it drops the table), so the two lock
     /// levels cannot deadlock.
-    entity_tables: Mutex<HashMap<String, EntityStore>>,
+    entity_tables: Mutex<HashMap<String, LiveTable>>,
+}
+
+/// A live entity table, with the digest of its on-disk record once that
+/// record was read or written: a table whose encoding still has that
+/// digest is not written again (see [`snapshot::write_entity_record`]).
+struct LiveTable {
+    store: EntityStore,
+    recorded: Option<u64>,
 }
 
 impl std::fmt::Debug for StreamResolver {
@@ -580,9 +590,13 @@ impl StreamResolver {
         // table, next to the name's clustering record (not counted in
         // the returned name count).
         if let Some(dir) = self.config.state_dir.as_deref() {
-            let tables = unpoisoned(self.entity_tables.lock());
-            for store in tables.values() {
-                snapshot::write_entity_record(dir, &TableState::capture(store))?;
+            let mut tables = unpoisoned(self.entity_tables.lock());
+            for table in tables.values_mut() {
+                table.recorded = Some(snapshot::write_entity_record(
+                    dir,
+                    &TableState::capture(&table.store),
+                    table.recorded,
+                )?);
             }
         }
         Ok(written)
@@ -615,7 +629,7 @@ impl StreamResolver {
 
     /// Enforce the `max_names` bound: while the map is over it, persist
     /// and drop the least-recently-touched name (never `protect`, the name
-    /// that was just touched).
+    /// that was just touched): its state, then its entity table.
     ///
     /// Ordering is persist-*then*-remove, both while holding the victim's
     /// state lock: the lock plus the currency re-check mean no mutation
@@ -660,7 +674,26 @@ impl StreamResolver {
                     self.metrics.evictions.inc();
                 }
             }
+            drop(map);
+            drop(state);
+            self.evict_entity_table(&name)?;
         }
+    }
+
+    /// Persist and drop `name`'s entity table, if one is live; the next
+    /// entity op on the name restores it ([`entity_store`](Self::entity_store)).
+    /// Called with no state lock held: no path holds the table lock while
+    /// it takes a state lock. Writing and removing under one hold of the
+    /// table lock means no pass on the table can fall between the two; it
+    /// also means entity ops on every name wait for the write, which is
+    /// skipped when the file already holds the table.
+    fn evict_entity_table(&self, name: &str) -> Result<(), StreamError> {
+        let mut tables = unpoisoned(self.entity_tables.lock());
+        if let (Some(table), Some(dir)) = (tables.get(name), self.config.state_dir.as_deref()) {
+            snapshot::write_entity_record(dir, &TableState::capture(&table.store), table.recorded)?;
+            tables.remove(name);
+        }
+        Ok(())
     }
 
     /// The live partition of a seeded name (restored from disk first if it
@@ -761,20 +794,27 @@ impl StreamResolver {
     /// The caller holds the table-map lock.
     fn entity_store<'a>(
         &self,
-        tables: &'a mut HashMap<String, EntityStore>,
+        tables: &'a mut HashMap<String, LiveTable>,
         name: &str,
     ) -> Result<&'a mut EntityStore, StreamError> {
         if !tables.contains_key(name) {
-            let store = match self.config.state_dir.as_deref() {
-                Some(dir) => match snapshot::read_entity_record(dir, name)? {
-                    Some(record) => record.restore().map_err(StreamError::SnapshotRejected)?,
-                    None => EntityStore::new(name),
-                },
-                None => EntityStore::new(name),
+            let record = match self.config.state_dir.as_deref() {
+                Some(dir) => snapshot::read_entity_record(dir, name)?,
+                None => None,
             };
-            tables.insert(name.to_string(), store);
+            let table = match record {
+                Some((record, digest)) => LiveTable {
+                    store: record.restore().map_err(StreamError::SnapshotRejected)?,
+                    recorded: Some(digest),
+                },
+                None => LiveTable {
+                    store: EntityStore::new(name),
+                    recorded: None,
+                },
+            };
+            tables.insert(name.to_string(), table);
         }
-        Ok(tables.get_mut(name).expect("just inserted"))
+        Ok(&mut tables.get_mut(name).expect("just inserted").store)
     }
 
     /// Run one materialization pass and read the resulting table out.
@@ -1190,6 +1230,152 @@ mod tests {
         // The evicted-and-restored partition kept every document.
         assert_eq!(r.partition("cohen").unwrap().len(), 5);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Eviction bounds entity tables as well as states: each evicted
+    /// name's table is written to disk and dropped, and comes back with
+    /// every ID on the name's next entity read. A table changed after it
+    /// was read back is written again when it is next evicted.
+    #[test]
+    fn eviction_drops_entity_tables_and_a_touch_restores_their_ids() {
+        let dir = temp_dir("evict_tables");
+        let config = StreamConfig::default()
+            .with_state_dir(&dir)
+            .with_max_names(2);
+        let r = StreamResolver::new(config, &gazetteer()).unwrap();
+        let names: Vec<String> = (0..10).map(|i| format!("name{i}")).collect();
+        let ids = |table: &EntityTable| table.entities.iter().map(|e| e.id).collect::<Vec<_>>();
+        let mut first = Vec::new();
+        for name in &names {
+            r.seed(name, &seed_docs()).unwrap();
+            r.ingest(name, "databases resurface", None).unwrap();
+            first.push(ids(&r.entities(name).unwrap()));
+            assert!(unpoisoned(r.entity_tables.lock()).len() <= 3);
+        }
+        for (name, before) in names.iter().zip(&first) {
+            let table = r.entities(name).unwrap();
+            assert_eq!(&ids(&table), before, "{name}");
+            assert_eq!(table.report.fresh_ids, 0, "{name}");
+            assert!(unpoisoned(r.entity_tables.lock()).len() <= 3);
+            r.add_constraint(name, Constraint::CannotLink { a: 0, b: 3 })
+                .unwrap();
+        }
+        for name in &names {
+            assert_eq!(r.entities(name).unwrap().constraints, 1, "{name}");
+        }
+        assert!(r.names().len() <= 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An evicted table reads back whole: two type constraints stay two.
+    /// A record that merged their tags into one constraint would forbid
+    /// the pairs across them and split both entities after the touch.
+    #[test]
+    fn an_evicted_table_with_two_type_constraints_reads_back_unchanged() {
+        let dir = temp_dir("evict_types");
+        let config = StreamConfig::default()
+            .with_state_dir(&dir)
+            .with_max_names(1);
+        let r = StreamResolver::new(config, &gazetteer()).unwrap();
+        r.seed("cohen", &seed_docs()).unwrap();
+        let table = r.entities("cohen").unwrap();
+        let (a, b) = (&table.entities[0].mentions, &table.entities[1].mentions);
+        let tag = |doc: usize, value: &str| (doc, value.to_string());
+        for types in [
+            vec![tag(a[0], "person"), tag(b[0], "org")],
+            vec![tag(a[1], "org"), tag(b[1], "person")],
+        ] {
+            r.add_constraint("cohen", Constraint::TypeBoundary { types })
+                .unwrap();
+        }
+        let before = r.entities("cohen").unwrap();
+        let report = &before.report;
+        assert_eq!(
+            (before.constraints, report.violations, report.splits),
+            (2, 0, 0)
+        );
+        r.seed("levy", &seed_docs()).unwrap();
+        assert!(!unpoisoned(r.entity_tables.lock()).contains_key("cohen"));
+        let after = r.entities("cohen").unwrap();
+        assert_eq!(after.entities, before.entities);
+        assert_eq!(after.constraints, 2);
+        assert_eq!(
+            format!("{:?}", after.report),
+            format!("{:?}", before.report)
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// What a repeat read returns (the part of ROADMAP law 19(e) that
+    /// holds today): two `entities` reads with no write between them
+    /// serve the same entities and links, the second mints no ID, and
+    /// every read after it is byte-identical to it. The counts describe
+    /// the pass that served the read, so the first read after a write may
+    /// differ in them. With no accepted `SAME_AS` union the second read
+    /// retains every ID; an accepted union hands the absorbed ID back and
+    /// merges it again on every pass, so each one reports it as
+    /// resurrected (ROADMAP item 22).
+    #[test]
+    fn a_repeat_read_mints_no_id_and_then_reads_the_same_bytes() {
+        let dataset = weber_corpus::generate(&weber_corpus::presets::tiny(4));
+        let block = &dataset.blocks[0];
+        let name = block.query_name.as_str();
+        let r = StreamResolver::new(StreamConfig::default(), &dataset.gazetteer).unwrap();
+        let seeds: Vec<SeedDocument> = (0..8)
+            .map(|i| SeedDocument {
+                text: block.documents[i].text.clone(),
+                url: block.documents[i].url.clone(),
+                label: block.truth_labels[i],
+            })
+            .collect();
+        r.seed(name, &seeds).unwrap();
+        let ingest = |doc: usize| {
+            let d = &block.documents[doc];
+            r.ingest(name, &d.text, d.url.as_deref()).unwrap();
+        };
+        let repeat_reads = |unions: usize| {
+            let first = r.entities(name).unwrap();
+            let second = r.entities(name).unwrap();
+            assert_eq!(second.entities, first.entities);
+            assert_eq!(second.links, first.links);
+            let report = second.report;
+            assert_eq!(report.fresh_ids, 0);
+            assert_eq!(report.resurrected_ids, unions);
+            assert_eq!(
+                report.retained_ids + report.resurrected_ids,
+                second.entities.len() + unions
+            );
+            let bytes = crate::protocol::ok_entities(&second);
+            for _ in 0..2 {
+                assert_eq!(
+                    crate::protocol::ok_entities(&r.entities(name).unwrap()),
+                    bytes
+                );
+            }
+            second
+        };
+        repeat_reads(0);
+        for doc in 8..block.len() {
+            ingest(doc);
+            if doc % 4 == 0 {
+                repeat_reads(0);
+            }
+        }
+        // Link the first two entities a constraint lets merge.
+        let ids: Vec<u64> = repeat_reads(0).entities.iter().map(|e| e.id).collect();
+        let accepted = ids.iter().enumerate().find_map(|(i, &a)| {
+            ids[i + 1..].iter().find_map(|&b| {
+                let linked = r.same_as(name, a, b, false).unwrap();
+                if linked.report.vetoed_links == 0 {
+                    return Some(());
+                }
+                r.same_as(name, a, b, true).unwrap();
+                None
+            })
+        });
+        assert!(accepted.is_some(), "some pair of entities may merge");
+        let merged = repeat_reads(1);
+        assert_eq!(merged.entities.len(), ids.len() - 1);
     }
 
     #[test]

@@ -423,4 +423,38 @@ mod tests {
         assert!(line.contains("shutdown"), "{line}");
         server.join().unwrap();
     }
+
+    /// `tests/fixtures/replies.ndjson` is what `weber serve --state-dir
+    /// DIR --max-names 2` answered on stdio to `tests/fixtures/requests.ndjson`
+    /// when every reply was still printed from a `serde_json::Value` tree:
+    /// seeds, ingests, `resolve`, named and name-less `entities`, `same_as`
+    /// assert and retract, all three constraint kinds and a clear,
+    /// `snapshot`, eviction and restore-on-touch, `persist`, `restore`,
+    /// `flush`, every error kind a stdio client can provoke, and names
+    /// and texts with quotes, backslashes, control characters and
+    /// non-ASCII. (`health` and `metrics` vary from run to run; `overloaded`
+    /// needs a queue; `persistence` needs no state directory.) Any rewrite
+    /// of the reply path must reproduce it byte for byte.
+    #[test]
+    fn replies_match_the_golden_transcript() {
+        let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+        let requests = std::fs::read(fixtures.join("requests.ndjson")).unwrap();
+        let golden = std::fs::read_to_string(fixtures.join("replies.ndjson")).unwrap();
+        let dir = std::env::temp_dir().join(format!("weber_golden_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = StreamConfig::default()
+            .with_state_dir(&dir)
+            .with_max_names(2);
+        let service = ResolverService {
+            resolver: Arc::new(StreamResolver::new(config, &Gazetteer::new()).unwrap()),
+        };
+        let mut out = Vec::new();
+        weber_net::serve_lines(&service, Cursor::new(requests), &mut out).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        let replies = String::from_utf8(out).unwrap();
+        for (i, (got, want)) in replies.lines().zip(golden.lines()).enumerate() {
+            assert_eq!(got, want, "reply {}", i + 1);
+        }
+        assert_eq!(replies, golden);
+    }
 }

@@ -407,27 +407,38 @@ pub fn entity_file_path(dir: &Path, name: &str) -> PathBuf {
     dir.join(format!("{hex}{ENTITY_FILE_SUFFIX}"))
 }
 
+/// The digest of an encoded entity record: FNV-1a over its bytes.
+fn entity_record_digest(json: &str) -> u64 {
+    fnv1a(FNV_OFFSET, json.as_bytes())
+}
+
 /// Write one name's entity table into `dir` (creating the directory if
-/// needed) through [`write_atomic`]. Returns the final path.
+/// needed) through [`write_atomic`], unless its encoding has the digest
+/// `recorded`: then the file already holds exactly this table. Returns the
+/// digest of the record now on disk.
 pub fn write_entity_record(
     dir: &Path,
     table: &weber_entity::TableState,
-) -> Result<PathBuf, StreamError> {
-    ensure_dir(dir)?;
-    let path = entity_file_path(dir, &table.name);
+    recorded: Option<u64>,
+) -> Result<u64, StreamError> {
     let json = serde_json::to_string(table)
         .map_err(|e| StreamError::Persistence(format!("cannot encode entity table: {e}")))?;
-    write_atomic(&path, json.as_bytes())?;
-    Ok(path)
+    let digest = entity_record_digest(&json);
+    if recorded != Some(digest) {
+        ensure_dir(dir)?;
+        write_atomic(&entity_file_path(dir, &table.name), json.as_bytes())?;
+    }
+    Ok(digest)
 }
 
-/// Read and validate `name`'s entity-table record from `dir`; `Ok(None)`
-/// when no file exists. A file with the wrong magic, version, or name is
-/// rejected with [`StreamError::SnapshotRejected`], never misread.
+/// Read and validate `name`'s entity-table record from `dir`, with the
+/// digest of its bytes (see [`write_entity_record`]); `Ok(None)` when no
+/// file exists. A file with the wrong magic, version, or name is rejected
+/// with [`StreamError::SnapshotRejected`], never misread.
 pub fn read_entity_record(
     dir: &Path,
     name: &str,
-) -> Result<Option<weber_entity::TableState>, StreamError> {
+) -> Result<Option<(weber_entity::TableState, u64)>, StreamError> {
     let path = entity_file_path(dir, name);
     let json = match std::fs::read_to_string(&path) {
         Ok(json) => json,
@@ -442,10 +453,12 @@ pub fn read_entity_record(
     let table: weber_entity::TableState = serde_json::from_str(&json)
         .map_err(|e| StreamError::SnapshotRejected(format!("malformed entity table: {e}")))?;
     if table.magic != weber_entity::ENTITY_FILE_MAGIC
-        || table.version != weber_entity::ENTITY_FILE_VERSION
+        || !(weber_entity::ENTITY_FILE_MIN_VERSION..=weber_entity::ENTITY_FILE_VERSION)
+            .contains(&table.version)
     {
         return Err(StreamError::SnapshotRejected(format!(
-            "not a version-{} entity table: magic {:?} version {}",
+            "not a version-{}..={} entity table: magic {:?} version {}",
+            weber_entity::ENTITY_FILE_MIN_VERSION,
             weber_entity::ENTITY_FILE_VERSION,
             table.magic,
             table.version
@@ -457,7 +470,7 @@ pub fn read_entity_record(
             table.name
         )));
     }
-    Ok(Some(table))
+    Ok(Some((table, entity_record_digest(&json))))
 }
 
 /// Names with a state file inside `dir`, sorted; an absent directory is
@@ -699,13 +712,27 @@ mod tests {
             ],
         );
         let table = weber_entity::TableState::capture(&store);
-        let path = write_entity_record(&dir, &table).unwrap();
+        let digest = write_entity_record(&dir, &table, None).unwrap();
+        let path = entity_file_path(&dir, "cohen");
         assert!(path.to_string_lossy().ends_with(ENTITY_FILE_SUFFIX));
         // The entity file sits next to (not on top of) the state file.
         assert_ne!(path, state_file_path(&dir, "cohen"));
         let back = read_entity_record(&dir, "cohen").unwrap().unwrap();
-        assert_eq!(back, table);
+        assert_eq!(back, (table.clone(), digest));
         assert_eq!(read_entity_record(&dir, "nobody").unwrap(), None);
+        // A table the file already holds is not written again; any
+        // other digest rewrites it.
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(
+            write_entity_record(&dir, &table, Some(digest)).unwrap(),
+            digest
+        );
+        assert!(!path.exists());
+        assert_eq!(
+            write_entity_record(&dir, &table, Some(!digest)).unwrap(),
+            digest
+        );
+        assert!(path.exists());
         // A tampered header is rejected, not misread.
         let mut bad = table.clone();
         bad.version = 99;

@@ -158,6 +158,53 @@ fn version_one_records_replay_and_are_rewritten_as_version_two() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A version-2 state record and its entity table, both for a name with
+/// quotes, a backslash, control characters and non-ASCII in it and in its
+/// texts, as `weber serve` wrote them when the JSON writer still formatted
+/// each number and `\u` escape into a fresh `String`: today's writer
+/// re-renders both byte for byte, and the state record restores. The
+/// entity table is a version-1 entity record: it reads back with its IDs,
+/// and the next persist rewrites it at the current version.
+#[test]
+fn stored_records_re_render_byte_identical() {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v2");
+    let name = "we\"ird\\ name\u{1}\u{1f}\t\n é☃😀";
+    let state = std::fs::read_to_string(snapshot::state_file_path(&fixture, name)).unwrap();
+    let entity = std::fs::read_to_string(snapshot::entity_file_path(&fixture, name)).unwrap();
+    for text in [&state, &entity] {
+        let value = serde_json::parse_value(text).unwrap();
+        assert_eq!(&serde_json::to_string(&value).unwrap(), text);
+    }
+    let record = NameRecord::from_json(&state).unwrap();
+    assert_eq!(record.version, 2);
+    assert_eq!(record.to_json(), state);
+
+    let dir = temp_dir("v2");
+    std::fs::create_dir_all(&dir).unwrap();
+    for path in [
+        snapshot::state_file_path(&fixture, name),
+        snapshot::entity_file_path(&fixture, name),
+    ] {
+        std::fs::copy(&path, dir.join(path.file_name().unwrap())).unwrap();
+    }
+    let r = resolver(&dir, &Gazetteer::new());
+    assert_eq!(r.restore_all().unwrap(), 1);
+    assert_eq!(
+        r.partition(name).unwrap().labels(),
+        record.partition.as_slice()
+    );
+    let table = r.entities(name).unwrap();
+    let ids: Vec<u64> = table.entities.iter().map(|e| e.id).collect();
+    assert_eq!(
+        (ids.as_slice(), table.report.fresh_ids),
+        ([1, 2, 3].as_slice(), 0)
+    );
+    r.persist_all().unwrap();
+    let (rewritten, _) = snapshot::read_entity_record(&dir, name).unwrap().unwrap();
+    assert_eq!(rewritten.version, weber_entity::ENTITY_FILE_VERSION);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A real version-2 record of a small name that has crossed a checkpoint.
 fn real_record() -> &'static (Gazetteer, Vec<u8>) {
     static RECORD: OnceLock<(Gazetteer, Vec<u8>)> = OnceLock::new();

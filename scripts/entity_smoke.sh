@@ -4,7 +4,9 @@
 # an operator touches — materialize (`entities`), constraint-aware
 # splitting (`constraint`), reversible merges (`same_as`) — and then
 # restarts the daemon to prove the entity table (IDs, constraints) comes
-# back from disk.  Used by scripts/check.sh.
+# back from disk.  Then checks that back-to-back reads return the same
+# bytes, and that a name evicted under --max-names 1 comes back with its
+# entity IDs.  Used by scripts/check.sh.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -60,7 +62,8 @@ ask() {
 
 start_daemon() {
     local port=$1 log=$2
-    "$WEBER" serve --listen "127.0.0.1:$port" --state-dir "$STATE" \
+    shift 2
+    "$WEBER" serve --listen "127.0.0.1:$port" --state-dir "$STATE" "$@" \
         >"$log" 2>&1 &
     PID=$!
     wait_up "$port" "$log"
@@ -130,6 +133,33 @@ echo "$reply" | jq -e '.ok == true and .constraints == 1 and .fresh_ids == 0' >/
 IDS_AFTER=$(echo "$reply" | jq -c '[.entities[].id] | sort')
 [[ "$IDS_BEFORE" == "$IDS_AFTER" ]] \
     || fail "entity IDs changed across restart: $IDS_BEFORE -> $IDS_AFTER"
+
+# A read after a read with no write between them serves the same bytes.
+ask '{"op":"entities","name":"cohen"}' >/dev/null
+second=$(ask '{"op":"entities","name":"cohen"}')
+third=$(ask '{"op":"entities","name":"cohen"}')
+[[ "$second" == "$third" ]] \
+    || fail "back-to-back entities reads differ: $second -> $third"
+
+stop_daemon
+echo "==> entity smoke: lifetime 2 passed (restore, repeat reads)"
+
+# --- Lifetime 3: one live name; eviction takes the entity table along ------
+PORT=$(pick_port)
+start_daemon "$PORT" "$WORK/serve-3.log" --max-names 1
+
+ask '{"op":"entities","name":"cohen"}' | jq -e '.ok == true' >/dev/null \
+    || fail "cohen unreadable under --max-names 1"
+reply=$(ask '{"op":"seed","name":"smith","docs":[{"text":"violin concerto recording","label":0},{"text":"piano sonata recording","label":1}]}')
+echo "$reply" | jq -e '.ok == true' >/dev/null || fail "second name refused: $reply"
+reply=$(ask '{"op":"entities","name":"smith"}')
+echo "$reply" | jq -e '.ok == true' >/dev/null || fail "entities of the second name: $reply"
+reply=$(ask '{"op":"entities","name":"cohen"}')
+echo "$reply" | jq -e '.ok == true and .constraints == 1 and .fresh_ids == 0' >/dev/null \
+    || fail "eviction lost cohen's entity table: $reply"
+IDS_EVICTED=$(echo "$reply" | jq -c '[.entities[].id] | sort')
+[[ "$IDS_BEFORE" == "$IDS_EVICTED" ]] \
+    || fail "entity IDs changed across eviction: $IDS_BEFORE -> $IDS_EVICTED"
 
 stop_daemon
 echo "entity smoke passed."
