@@ -146,7 +146,7 @@ impl CombinationStrategy {
                 let samples: Vec<LabeledValue> =
                     supervision.labeled_values(|i, j| scores.get(i, j));
                 let fit = optimal_threshold(&samples);
-                let decisions = DecisionGraph::from_weighted(&scores, |_, _, s| s >= fit.threshold);
+                let decisions = DecisionGraph::from_weighted(&scores, |s| s >= fit.threshold);
                 Combined {
                     decisions,
                     scores,
@@ -159,7 +159,7 @@ impl CombinationStrategy {
                 let votes = WeightedGraph::from_fn(n, |i, j| {
                     layers.iter().filter(|l| l.decisions.has_edge(i, j)).count() as f64
                 });
-                let decisions = DecisionGraph::from_weighted(&votes, |_, _, v| v > half);
+                let decisions = DecisionGraph::from_weighted(&votes, |v| v > half);
                 let scores =
                     WeightedGraph::from_fn(n, |i, j| votes.get(i, j) / layers.len() as f64);
                 Combined {

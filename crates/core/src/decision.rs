@@ -21,12 +21,6 @@ pub enum DecisionCriterion {
     Threshold,
     /// Per-region accuracy estimation with the given region scheme.
     RegionAccuracy(RegionScheme),
-    /// Input-partitioned thresholds (feature-presence cells). Fitting this
-    /// variant needs pair context, so it is built by
-    /// [`build_input_partitioned_layers`](crate::layers::build_input_partitioned_layers)
-    /// rather than [`fit`](Self::fit); calling `fit` on it falls back to a
-    /// plain threshold.
-    InputPartitioned,
 }
 
 impl DecisionCriterion {
@@ -50,18 +44,15 @@ impl DecisionCriterion {
             DecisionCriterion::RegionAccuracy(RegionScheme::KMeans { k, .. }) => {
                 format!("km{k}")
             }
-            DecisionCriterion::InputPartitioned => "input".to_string(),
         }
     }
 
     /// Fit the criterion to a training sample.
     pub fn fit(&self, samples: &[LabeledValue]) -> FittedDecision {
         match self {
-            DecisionCriterion::Threshold | DecisionCriterion::InputPartitioned => {
-                FittedDecision::Threshold {
-                    fit: optimal_threshold(samples),
-                }
-            }
+            DecisionCriterion::Threshold => FittedDecision::Threshold {
+                fit: optimal_threshold(samples),
+            },
             DecisionCriterion::RegionAccuracy(scheme) => {
                 let values: Vec<f64> = samples.iter().map(|s| s.value).collect();
                 let regions = scheme.fit(&values);
@@ -96,21 +87,6 @@ pub enum FittedDecision {
         /// Overall training accuracy of the region decisions.
         training_accuracy: f64,
     },
-    /// Input-partitioned thresholds (§IV-A's "regions based on some
-    /// properties of the input"): one threshold for pairs where both pages
-    /// carry the function's feature, another for pairs where at least one
-    /// page lacks it. Built by
-    /// [`build_input_partitioned_layers`](crate::layers::build_input_partitioned_layers);
-    /// the value-only [`decide`](Self::decide) falls back to the
-    /// feature-present fit.
-    InputCells {
-        /// Fit for pairs where both pages carry the feature.
-        present: ThresholdFit,
-        /// Fit for pairs where at least one page lacks the feature.
-        missing: ThresholdFit,
-        /// Overall training accuracy across both cells.
-        training_accuracy: f64,
-    },
 }
 
 impl FittedDecision {
@@ -119,42 +95,6 @@ impl FittedDecision {
         match self {
             FittedDecision::Threshold { fit } => fit.decide(value),
             FittedDecision::Regions { model, .. } => model.decide(value),
-            FittedDecision::InputCells { present, .. } => present.decide(value),
-        }
-    }
-
-    /// Link / no-link decision for a similarity value in a given input
-    /// cell (`true` = both pages carry the feature). Identical to
-    /// [`decide`](Self::decide) for the value-based criteria.
-    pub fn decide_in_cell(&self, value: f64, both_present: bool) -> bool {
-        match self {
-            FittedDecision::InputCells {
-                present, missing, ..
-            } => {
-                if both_present {
-                    present.decide(value)
-                } else {
-                    missing.decide(value)
-                }
-            }
-            other => other.decide(value),
-        }
-    }
-
-    /// Link probability for a value in a given input cell.
-    pub fn link_probability_in_cell(&self, value: f64, both_present: bool) -> f64 {
-        match self {
-            FittedDecision::InputCells {
-                present, missing, ..
-            } => {
-                let fit = if both_present { present } else { missing };
-                if fit.decide(value) {
-                    fit.training_accuracy
-                } else {
-                    1.0 - fit.training_accuracy
-                }
-            }
-            other => other.link_probability(value),
         }
     }
 
@@ -172,13 +112,6 @@ impl FittedDecision {
                 }
             }
             FittedDecision::Regions { model, .. } => model.link_probability(value),
-            FittedDecision::InputCells { present, .. } => {
-                if present.decide(value) {
-                    present.training_accuracy
-                } else {
-                    1.0 - present.training_accuracy
-                }
-            }
         }
     }
 
@@ -188,9 +121,6 @@ impl FittedDecision {
         match self {
             FittedDecision::Threshold { fit } => fit.training_accuracy,
             FittedDecision::Regions {
-                training_accuracy, ..
-            } => *training_accuracy,
-            FittedDecision::InputCells {
                 training_accuracy, ..
             } => *training_accuracy,
         }
@@ -289,52 +219,5 @@ mod tests {
             .map(|c| c.label())
             .collect();
         assert_eq!(labels, vec!["thr", "eq10", "km10"]);
-        assert_eq!(DecisionCriterion::InputPartitioned.label(), "input");
-    }
-
-    #[test]
-    fn input_cells_decide_per_cell() {
-        use weber_ml::threshold::ThresholdFit;
-        let fitted = FittedDecision::InputCells {
-            present: ThresholdFit {
-                threshold: 0.6,
-                training_accuracy: 0.9,
-            },
-            missing: ThresholdFit {
-                threshold: 0.2,
-                training_accuracy: 0.7,
-            },
-            training_accuracy: 0.85,
-        };
-        // Same value, different cells, different decisions.
-        assert!(!fitted.decide_in_cell(0.4, true));
-        assert!(fitted.decide_in_cell(0.4, false));
-        // Value-only decide falls back to the present cell.
-        assert!(!fitted.decide(0.4));
-        assert!(fitted.decide(0.7));
-        // Link probabilities are directional per cell.
-        assert!((fitted.link_probability_in_cell(0.7, true) - 0.9).abs() < 1e-12);
-        assert!((fitted.link_probability_in_cell(0.1, false) - 0.3).abs() < 1e-12);
-        assert_eq!(fitted.training_accuracy(), 0.85);
-    }
-
-    #[test]
-    fn input_partitioned_fit_falls_back_to_threshold() {
-        let fit = DecisionCriterion::InputPartitioned.fit(&separable());
-        assert!(matches!(fit, FittedDecision::Threshold { .. }));
-        assert_eq!(fit.training_accuracy(), 1.0);
-    }
-
-    #[test]
-    fn value_criteria_ignore_the_cell() {
-        let fit = DecisionCriterion::Threshold.fit(&separable());
-        for v in [0.1, 0.5, 0.9] {
-            assert_eq!(fit.decide_in_cell(v, true), fit.decide(v));
-            assert_eq!(fit.decide_in_cell(v, false), fit.decide(v));
-            assert_eq!(
-                fit.link_probability_in_cell(v, true),
-                fit.link_probability(v)
-            );
-        }
     }
 }

@@ -110,61 +110,6 @@ pub fn run_experiment(
     Ok(ExperimentOutcome { mean, per_name })
 }
 
-/// Run rotating k-fold supervision: split each block into `k` folds; in
-/// round `f`, the documents of fold `f` are labelled (a `1/k` supervision
-/// share, e.g. `k = 10` reproduces the paper's 10%) and the resolution is
-/// scored on the whole block. Unlike the repeated random draws of
-/// [`run_experiment`], every document serves in the training role exactly
-/// once across rounds, removing draw-to-draw variance at equal cost.
-pub fn run_cross_validation(
-    prepared: &PreparedDataset,
-    resolver_config: &ResolverConfig,
-    k: usize,
-    seed: u64,
-) -> Result<ExperimentOutcome, CoreError> {
-    let resolver = Resolver::new(resolver_config.clone())?;
-    let per_block = |nb: &crate::blocking::PreparedNameBlock| -> Result<RunAverage, CoreError> {
-        let mut avg = RunAverage::new();
-        for fold in weber_ml::kfold(nb.block.len(), k, seed) {
-            let supervision = Supervision::new(
-                fold.test
-                    .iter()
-                    .map(|&d| (d, nb.truth.label_of(d)))
-                    .collect(),
-            );
-            let resolution = resolver.resolve(&nb.block, &supervision)?;
-            avg.push(MetricSet::evaluate(&resolution.partition, &nb.truth));
-        }
-        Ok(avg)
-    };
-    let results: Vec<Result<RunAverage, CoreError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = prepared
-            .blocks
-            .iter()
-            .map(|nb| scope.spawn(|| per_block(nb)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("cross-validation worker panicked"))
-            .collect()
-    });
-    let mut per_name = Vec::with_capacity(results.len());
-    for (nb, r) in prepared.blocks.iter().zip(results) {
-        per_name.push((
-            nb.block.query_name().to_string(),
-            r?.mean().expect("k >= 1 folds"),
-        ));
-    }
-    let mut overall = RunAverage::new();
-    for (_, m) in &per_name {
-        overall.push(*m);
-    }
-    Ok(ExperimentOutcome {
-        mean: overall.mean().unwrap_or_default(),
-        per_name,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,46 +172,6 @@ mod tests {
         let a = run_experiment(&p, &cfg, &exp).unwrap();
         let b = run_experiment(&p, &cfg, &exp).unwrap();
         assert_eq!(a.mean, b.mean);
-    }
-
-    #[test]
-    fn cross_validation_covers_all_blocks_and_is_deterministic() {
-        let p = prepared();
-        let cfg = ResolverConfig::accuracy_suite(subset_i10());
-        let a = run_cross_validation(&p, &cfg, 4, 7).unwrap();
-        let b = run_cross_validation(&p, &cfg, 4, 7).unwrap();
-        assert_eq!(a.per_name.len(), p.blocks.len());
-        assert_eq!(a.mean, b.mean);
-        for (_, m) in &a.per_name {
-            assert!((0.0..=1.0).contains(&m.fp));
-        }
-    }
-
-    #[test]
-    fn cross_validation_is_comparable_to_random_draws() {
-        // Rotating 1/4 supervision vs random 25% draws: both protocols see
-        // the same labelling budget, so their means should be in the same
-        // ballpark.
-        let p = prepared();
-        let cfg = ResolverConfig::accuracy_suite(subset_i10());
-        let cv = run_cross_validation(&p, &cfg, 4, 1).unwrap().mean;
-        let rand = run_experiment(
-            &p,
-            &cfg,
-            &ExperimentConfig {
-                train_fraction: 0.25,
-                runs: 4,
-                base_seed: 1,
-            },
-        )
-        .unwrap()
-        .mean;
-        assert!(
-            (cv.fp - rand.fp).abs() < 0.2,
-            "cv {:.3} vs random {:.3} diverged",
-            cv.fp,
-            rand.fp
-        );
     }
 
     #[test]

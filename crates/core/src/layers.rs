@@ -28,9 +28,6 @@ use weber_graph::{Partition, UnionFind};
 use weber_simfun::block::PreparedBlock;
 use weber_simfun::functions::SimilarityFunction;
 
-use weber_ml::threshold::optimal_threshold;
-use weber_ml::LabeledValue;
-
 use crate::decision::{DecisionCriterion, FittedDecision};
 use crate::supervision::Supervision;
 
@@ -73,21 +70,12 @@ pub struct EvidenceLayer {
 
 impl EvidenceLayer {
     /// Derive the graphs of a scored layer from its function's similarity
-    /// graph. `presence` is the per-document feature presence of an
-    /// input-partitioned layer (`None` for the value-based criteria).
-    fn materialise(
-        score: LayerScore,
-        similarities: &Arc<WeightedGraph>,
-        presence: Option<&[bool]>,
-    ) -> Self {
-        let both = |i: usize, j: usize| presence.is_none_or(|p| p[i] && p[j]);
+    /// graph.
+    fn materialise(score: LayerScore, similarities: &Arc<WeightedGraph>) -> Self {
         let fitted = &score.fitted;
-        let decisions = DecisionGraph::from_weighted(similarities, |i, j, w| {
-            fitted.decide_in_cell(w, both(i, j))
-        });
+        let decisions = DecisionGraph::from_weighted(similarities, |w| fitted.decide(w));
         debug_assert_eq!(decisions.edge_count(), score.edges);
-        let link_probability =
-            similarities.map_edges(|i, j, w| fitted.link_probability_in_cell(w, both(i, j)));
+        let link_probability = similarities.map(|w| fitted.link_probability(w));
         EvidenceLayer {
             similarities: Arc::clone(similarities),
             decisions,
@@ -146,7 +134,8 @@ pub fn training_fp(decisions: &DecisionGraph, supervision: &Supervision) -> f64 
 }
 
 /// The empty argument of [`build_layers_with`], kept only because the repo
-/// benchmark names both; ROADMAP item 1 removes them.
+/// benchmark names both: one of the harness-pinned forwards, removed when
+/// the harness moves to the new names.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LayerOptions {}
 
@@ -217,13 +206,14 @@ pub fn build_layers(
 ) -> Vec<EvidenceLayer> {
     per_function(block, functions, |f| {
         function_layers(block, f, criteria, supervision, |score, sims| {
-            EvidenceLayer::materialise(score, sims, None)
+            EvidenceLayer::materialise(score, sims)
         })
     })
 }
 
 /// [`build_layers`] under its old signature, kept only because the repo
-/// benchmark calls it; ROADMAP item 1 removes it.
+/// benchmark calls it: one of the harness-pinned forwards, removed when the
+/// harness moves to the new names.
 pub fn build_layers_with(
     block: &PreparedBlock,
     functions: &[Arc<dyn SimilarityFunction>],
@@ -235,25 +225,22 @@ pub fn build_layers_with(
 }
 
 /// Apply a fitted decision to every pair of `sims`, in storage order,
-/// closing the asserted edges in a union-find as it goes. `presence` is the
-/// per-document feature presence of an input-partitioned layer (`None` for
-/// the value-based criteria). Connected components do not depend on the
-/// order edges arrive in, so the selection score is the number
-/// [`training_fp`] gives for the materialised decision graph.
+/// closing the asserted edges in a union-find as it goes. Connected
+/// components do not depend on the order edges arrive in, so the selection
+/// score is the number [`training_fp`] gives for the materialised decision
+/// graph.
 fn score_decisions(
     function: &'static str,
     criterion: DecisionCriterion,
     fitted: FittedDecision,
     sims: &WeightedGraph,
     supervision: &Supervision,
-    presence: Option<&[bool]>,
 ) -> LayerScore {
-    let both = |i: usize, j: usize| presence.is_none_or(|p| p[i] && p[j]);
     let mut closure = UnionFind::new(sims.len());
     let mut edges = 0;
     for j in 1..sims.len() {
         for (i, &w) in sims.column(j).iter().enumerate() {
-            if fitted.decide_in_cell(w, both(i, j)) {
+            if fitted.decide(w) {
                 edges += 1;
                 closure.union(i, j);
             }
@@ -296,7 +283,7 @@ fn function_layers<T>(
             let fit_start = Instant::now();
             let fitted = criterion.fit(&samples);
             fit_elapsed += fit_start.elapsed();
-            let score = score_decisions(f.name(), criterion, fitted, &sims, supervision, None);
+            let score = score_decisions(f.name(), criterion, fitted, &sims, supervision);
             finish(score, &sims)
         })
         .collect();
@@ -310,105 +297,6 @@ fn function_layers<T>(
     layers
 }
 
-/// Score the input-partitioned layer of every function, in function
-/// order; see [`build_input_partitioned_layers`] for what the layer is.
-pub(crate) fn score_input_partitioned_layers(
-    block: &PreparedBlock,
-    functions: &[Arc<dyn SimilarityFunction>],
-    supervision: &Supervision,
-) -> Vec<LayerScore> {
-    per_function(block, functions, |f| {
-        vec![input_partitioned_layer(
-            block,
-            f,
-            supervision,
-            |score, _, _| score,
-        )]
-    })
-}
-
-/// Build input-partitioned evidence layers, one per function (§IV-A's
-/// "regions based on some properties of the input").
-///
-/// For each function, every document pair is assigned to one of two input
-/// cells — *both pages carry the feature the function needs* vs *at least
-/// one does not* (via
-/// [`SimilarityFunction::feature_presence`]) — and a separate optimal
-/// threshold is fitted per cell. This separates "low value because truly
-/// different" from "low value because information is missing", which a
-/// single threshold or value-region model conflates. Every layer is
-/// scored, then its graphs are materialised from the score.
-pub fn build_input_partitioned_layers(
-    block: &PreparedBlock,
-    functions: &[Arc<dyn SimilarityFunction>],
-    supervision: &Supervision,
-) -> Vec<EvidenceLayer> {
-    per_function(block, functions, |f| {
-        vec![input_partitioned_layer(
-            block,
-            f,
-            supervision,
-            |score, sims, presence| EvidenceLayer::materialise(score, sims, Some(presence)),
-        )]
-    })
-}
-
-/// Which documents carry the feature `f` compares.
-fn feature_presence(block: &PreparedBlock, f: &dyn SimilarityFunction) -> Vec<bool> {
-    (0..block.len())
-        .map(|d| f.feature_presence(block, d) > 0.5)
-        .collect()
-}
-
-/// The input-partitioned layer of one similarity function: fit the two
-/// cells, score, and hand the score to `finish` together with the
-/// similarity graph and the per-document feature presence.
-fn input_partitioned_layer<T>(
-    block: &PreparedBlock,
-    f: &dyn SimilarityFunction,
-    supervision: &Supervision,
-    finish: impl Fn(LayerScore, &Arc<WeightedGraph>, &[bool]) -> T,
-) -> T {
-    let sims = block.similarity_graph(f);
-    let presence = feature_presence(block, f);
-    let both = |i: usize, j: usize| presence[i] && presence[j];
-    // Split the training pairs by input cell and fit each.
-    let mut cell_present: Vec<LabeledValue> = Vec::new();
-    let mut cell_missing: Vec<LabeledValue> = Vec::new();
-    for (i, j, link) in supervision.pairs() {
-        let sample = LabeledValue::new(sims.get(i, j), link);
-        if both(i, j) {
-            cell_present.push(sample);
-        } else {
-            cell_missing.push(sample);
-        }
-    }
-    let fit_present = optimal_threshold(&cell_present);
-    let fit_missing = optimal_threshold(&cell_missing);
-    let total = cell_present.len() + cell_missing.len();
-    let training_accuracy = if total == 0 {
-        0.5
-    } else {
-        (fit_present.training_accuracy * cell_present.len() as f64
-            + fit_missing.training_accuracy * cell_missing.len() as f64)
-            / total as f64
-    };
-    let fitted = FittedDecision::InputCells {
-        present: fit_present,
-        missing: fit_missing,
-        training_accuracy,
-    };
-    let score = score_decisions(
-        f.name(),
-        DecisionCriterion::InputPartitioned,
-        fitted,
-        &sims,
-        supervision,
-        Some(&presence),
-    );
-    finish(score, &sims, &presence)
-}
-
 /// Materialise the graphs of one scored layer of `f` — the layer
 /// best-graph selection picked, typically. The similarity graph comes back
 /// out of the block's cache (the scoring pass left it there), so this costs
@@ -418,10 +306,7 @@ pub(crate) fn materialise_layer(
     f: &dyn SimilarityFunction,
     score: LayerScore,
 ) -> EvidenceLayer {
-    let sims = block.similarity_graph(f);
-    let presence = matches!(score.fitted, FittedDecision::InputCells { .. })
-        .then(|| feature_presence(block, f));
-    EvidenceLayer::materialise(score, &sims, presence.as_deref())
+    EvidenceLayer::materialise(score, &block.similarity_graph(f))
 }
 
 #[cfg(test)]
@@ -505,36 +390,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn input_partitioned_layers_are_well_formed() {
-        let (block, truth) = prepared_block();
-        let sup = Supervision::sample_from_truth(&truth, 0.4, 8);
-        let functions = vec![function(FunctionId::F2), function(FunctionId::F8)];
-        let layers = build_input_partitioned_layers(&block, &functions, &sup);
-        assert_eq!(layers.len(), 2);
-        for layer in &layers {
-            assert_eq!(layer.decisions.len(), block.len());
-            assert!((0.0..=1.0).contains(&layer.score.accuracy));
-            assert!(matches!(
-                layer.score.fitted,
-                FittedDecision::InputCells { .. }
-            ));
-        }
-    }
-
-    #[test]
-    fn input_cells_split_by_feature_presence() {
-        // A function whose feature is missing on odd documents should fit
-        // separate cells; with empty supervision both cells are default.
-        let (block, _) = prepared_block();
-        let layers = build_input_partitioned_layers(
-            &block,
-            &[function(FunctionId::F2)],
-            &Supervision::empty(),
-        );
-        assert_eq!(layers[0].score.accuracy, 0.5);
-    }
-
     /// A block grown to PARALLEL_BLOCK_LEN by cycling preset documents, so
     /// the threaded fan-out runs, with the truth the cycling implies.
     fn parallel_block() -> (PreparedBlock, Partition) {
@@ -573,7 +428,7 @@ mod tests {
             .iter()
             .flat_map(|f| {
                 function_layers(&block, f.as_ref(), &criteria, &sup, |score, sims| {
-                    EvidenceLayer::materialise(score, sims, None)
+                    EvidenceLayer::materialise(score, sims)
                 })
             })
             .collect();
@@ -607,11 +462,9 @@ mod tests {
     fn assert_scores_match_layers(block: &PreparedBlock, sup: &Supervision) {
         let functions = weber_simfun::functions::standard_suite();
         let criteria = DecisionCriterion::standard_set();
-        let mut scores = score_layers(block, &functions, &criteria, sup);
-        scores.extend(score_input_partitioned_layers(block, &functions, sup));
-        let mut layers = build_layers(block, &functions, &criteria, sup);
-        layers.extend(build_input_partitioned_layers(block, &functions, sup));
-        assert_eq!(scores.len(), functions.len() * (criteria.len() + 1));
+        let scores = score_layers(block, &functions, &criteria, sup);
+        let layers = build_layers(block, &functions, &criteria, sup);
+        assert_eq!(scores.len(), functions.len() * criteria.len());
         assert_eq!(scores.len(), layers.len());
         for (score, layer) in scores.iter().zip(&layers) {
             let what = format!("{} {}", score.function, score.criterion.label());
@@ -674,11 +527,9 @@ mod tests {
         let sup = Supervision::sample_from_truth(&truth, 0.4, 8);
         let functions = vec![function(FunctionId::F2), function(FunctionId::F8)];
         let criteria = DecisionCriterion::standard_set();
-        let mut scores = score_layers(&block, &functions, &criteria, &sup);
-        scores.extend(score_input_partitioned_layers(&block, &functions, &sup));
-        let mut layers = build_layers(&block, &functions, &criteria, &sup);
-        layers.extend(build_input_partitioned_layers(&block, &functions, &sup));
-        let function_of = [0, 0, 0, 1, 1, 1, 0, 1];
+        let scores = score_layers(&block, &functions, &criteria, &sup);
+        let layers = build_layers(&block, &functions, &criteria, &sup);
+        let function_of = [0, 0, 0, 1, 1, 1];
         for ((score, all), f) in scores.into_iter().zip(&layers).zip(function_of) {
             let one = materialise_layer(&block, functions[f].as_ref(), score);
             assert!(Arc::ptr_eq(&one.similarities, &all.similarities));

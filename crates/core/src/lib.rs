@@ -47,7 +47,7 @@ pub use clustering::ClusteringMethod;
 pub use combine::{CombinationStrategy, WeightScheme};
 pub use decision::{DecisionCriterion, FittedDecision};
 pub use error::CoreError;
-pub use experiment::{run_cross_validation, run_experiment, ExperimentConfig, ExperimentOutcome};
+pub use experiment::{run_experiment, ExperimentConfig, ExperimentOutcome};
 pub use resolver::{Resolution, Resolver, ResolverConfig};
 pub use supervision::Supervision;
 pub use swoosh::{r_swoosh, MatchFunction, MergeRecord, ProfileMatcher, SwooshOutcome};

@@ -10,10 +10,7 @@ use crate::clustering::ClusteringMethod;
 use crate::combine::{select_best, CombinationStrategy, Combined};
 use crate::decision::DecisionCriterion;
 use crate::error::CoreError;
-use crate::layers::{
-    build_input_partitioned_layers, build_layers, materialise_layer,
-    score_input_partitioned_layers, score_layers, LayerScore,
-};
+use crate::layers::{build_layers, materialise_layer, score_layers, LayerScore};
 use crate::supervision::Supervision;
 
 /// Configuration of a resolution run: which functions, which decision
@@ -29,10 +26,6 @@ pub struct ResolverConfig {
     pub combination: CombinationStrategy,
     /// Final clustering back-end.
     pub clustering: ClusteringMethod,
-    /// Additionally build one input-partitioned layer per function
-    /// (feature-presence cells with per-cell thresholds; §IV-A's
-    /// "regions based on some properties of the input").
-    pub input_partitioned: bool,
 }
 
 impl Default for ResolverConfig {
@@ -51,7 +44,6 @@ impl std::fmt::Debug for ResolverConfig {
             .field("criteria", &self.criteria)
             .field("combination", &self.combination)
             .field("clustering", &self.clustering)
-            .field("input_partitioned", &self.input_partitioned)
             .finish()
     }
 }
@@ -69,7 +61,6 @@ impl ResolverConfig {
             criteria: vec![criterion],
             combination: CombinationStrategy::BestGraph,
             clustering: ClusteringMethod::TransitiveClosure,
-            input_partitioned: false,
         }
     }
 
@@ -81,7 +72,6 @@ impl ResolverConfig {
             criteria: vec![DecisionCriterion::Threshold],
             combination: CombinationStrategy::BestGraph,
             clustering: ClusteringMethod::TransitiveClosure,
-            input_partitioned: false,
         }
     }
 
@@ -93,19 +83,12 @@ impl ResolverConfig {
             criteria: DecisionCriterion::standard_set(),
             combination: CombinationStrategy::BestGraph,
             clustering: ClusteringMethod::TransitiveClosure,
-            input_partitioned: false,
         }
     }
 
     /// Add a custom similarity function to the suite.
     pub fn with_function(mut self, f: Arc<dyn SimilarityFunction>) -> Self {
         self.functions.push(f);
-        self
-    }
-
-    /// Enable the input-partitioned layers.
-    pub fn with_input_partitioning(mut self) -> Self {
-        self.input_partitioned = true;
         self
     }
 
@@ -126,7 +109,6 @@ impl ResolverConfig {
             clustering: ClusteringMethod::Correlation(
                 weber_graph::correlation::CorrelationConfig::default(),
             ),
-            input_partitioned: false,
         }
     }
 
@@ -242,36 +224,22 @@ impl Resolver {
         results.into_iter().collect()
     }
 
-    /// Score every configured layer without materialising any: the
-    /// standard layers function-major (criteria inner), then — when
-    /// configured — one input-partitioned layer per function.
+    /// Score every configured layer without materialising any,
+    /// function-major (criteria inner).
     pub(crate) fn score_layers(
         &self,
         block: &PreparedBlock,
         supervision: &Supervision,
     ) -> Vec<LayerScore> {
         let config = &self.config;
-        let mut scores = score_layers(block, &config.functions, &config.criteria, supervision);
-        if config.input_partitioned {
-            scores.extend(score_input_partitioned_layers(
-                block,
-                &config.functions,
-                supervision,
-            ));
-        }
-        scores
+        score_layers(block, &config.functions, &config.criteria, supervision)
     }
 
     /// The similarity function behind layer `index` of the
     /// [`score_layers`](Self::score_layers) layout.
     pub(crate) fn layer_function(&self, index: usize) -> &Arc<dyn SimilarityFunction> {
         let config = &self.config;
-        let standard = config.functions.len() * config.criteria.len();
-        if index < standard {
-            &config.functions[index / config.criteria.len()]
-        } else {
-            &config.functions[index - standard]
-        }
+        &config.functions[index / config.criteria.len()]
     }
 
     /// Resolve one prepared block with the given supervision.
@@ -293,13 +261,6 @@ impl Resolver {
             self.score_layers(block, supervision)
         } else {
             layers = build_layers(block, &config.functions, &config.criteria, supervision);
-            if config.input_partitioned {
-                layers.extend(build_input_partitioned_layers(
-                    block,
-                    &config.functions,
-                    supervision,
-                ));
-            }
             layers.iter().map(|l| l.score.clone()).collect()
         };
         let (combined, partition) = weber_obs::time_stage("core.stage.clustering_us", || {

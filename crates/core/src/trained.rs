@@ -96,45 +96,12 @@ impl TrainedModel {
     /// Link / no-link decision for pair `(i, j)`, matching the decision the
     /// batch layer would have made for the same pair.
     pub fn decide(&self, block: &PreparedBlock, i: usize, j: usize) -> bool {
-        self.decide_value(block, i, j, self.similarity(block, i, j))
-    }
-
-    /// [`decide`](Self::decide) with the similarity value already in hand
-    /// (e.g. read from a cached graph or row).
-    pub fn decide_value(&self, block: &PreparedBlock, i: usize, j: usize, value: f64) -> bool {
-        if matches!(self.fitted, FittedDecision::InputCells { .. }) {
-            self.fitted
-                .decide_in_cell(value, self.both_present(block, i, j))
-        } else {
-            self.fitted.decide(value)
-        }
+        self.fitted.decide(self.similarity(block, i, j))
     }
 
     /// Estimated link probability for pair `(i, j)`.
     pub fn link_probability(&self, block: &PreparedBlock, i: usize, j: usize) -> f64 {
-        self.link_probability_value(block, i, j, self.similarity(block, i, j))
-    }
-
-    /// [`link_probability`](Self::link_probability) with the similarity
-    /// value already in hand.
-    pub fn link_probability_value(
-        &self,
-        block: &PreparedBlock,
-        i: usize,
-        j: usize,
-        value: f64,
-    ) -> f64 {
-        if matches!(self.fitted, FittedDecision::InputCells { .. }) {
-            self.fitted
-                .link_probability_in_cell(value, self.both_present(block, i, j))
-        } else {
-            self.fitted.link_probability(value)
-        }
-    }
-
-    fn both_present(&self, block: &PreparedBlock, i: usize, j: usize) -> bool {
-        self.function.feature_presence(block, i) > 0.5
-            && self.function.feature_presence(block, j) > 0.5
+        self.fitted.link_probability(self.similarity(block, i, j))
     }
 
     /// Refit the selected criterion's parameters on the given supervision,
@@ -147,40 +114,9 @@ impl TrainedModel {
     /// block — keeps thresholds and region boundaries calibrated as the
     /// block drifts away from its seed statistics.
     pub fn refit(&mut self, block: &PreparedBlock, supervision: &Supervision) {
-        use weber_ml::threshold::optimal_threshold;
-        use weber_ml::LabeledValue;
-        if matches!(self.criterion, DecisionCriterion::InputPartitioned) {
-            let mut cell_present: Vec<LabeledValue> = Vec::new();
-            let mut cell_missing: Vec<LabeledValue> = Vec::new();
-            for (i, j, link) in supervision.pairs() {
-                let sample = LabeledValue::new(self.similarity(block, i, j), link);
-                if self.both_present(block, i, j) {
-                    cell_present.push(sample);
-                } else {
-                    cell_missing.push(sample);
-                }
-            }
-            let present = optimal_threshold(&cell_present);
-            let missing = optimal_threshold(&cell_missing);
-            let total = cell_present.len() + cell_missing.len();
-            let training_accuracy = if total == 0 {
-                0.5
-            } else {
-                (present.training_accuracy * cell_present.len() as f64
-                    + missing.training_accuracy * cell_missing.len() as f64)
-                    / total as f64
-            };
-            self.fitted = FittedDecision::InputCells {
-                present,
-                missing,
-                training_accuracy,
-            };
-            self.accuracy = training_accuracy;
-        } else {
-            let samples = supervision.labeled_values(|i, j| self.similarity(block, i, j));
-            self.fitted = self.criterion.fit(&samples);
-            self.accuracy = self.fitted.training_accuracy();
-        }
+        let samples = supervision.labeled_values(|i, j| self.similarity(block, i, j));
+        self.fitted = self.criterion.fit(&samples);
+        self.accuracy = self.fitted.training_accuracy();
     }
 }
 
@@ -230,16 +166,7 @@ impl Resolver {
     ) -> Option<TrainedModel> {
         let config = self.config();
         let function = config.functions.iter().find(|f| f.name() == function)?;
-        let criterion = config
-            .criteria
-            .iter()
-            .copied()
-            .chain(
-                config
-                    .input_partitioned
-                    .then_some(DecisionCriterion::InputPartitioned),
-            )
-            .find(|c| c.label() == criterion)?;
+        let criterion = *config.criteria.iter().find(|c| c.label() == criterion)?;
         let consistent = match (&criterion, &fitted) {
             (DecisionCriterion::RegionAccuracy(_), FittedDecision::Regions { model, .. }) => {
                 model.is_well_formed()
@@ -332,23 +259,6 @@ mod tests {
     }
 
     #[test]
-    fn train_supports_input_partitioned_layers() {
-        let (block, truth) = prepared_block();
-        let sup = Supervision::sample_from_truth(&truth, 0.4, 5);
-        let resolver =
-            Resolver::new(ResolverConfig::accuracy_suite(subset_i10()).with_input_partitioning())
-                .unwrap();
-        let model = resolver.train(&block, &sup).unwrap();
-        // Whatever layer won, decide() must be callable on every pair.
-        for i in 0..block.len() {
-            for j in (i + 1)..block.len() {
-                let p = model.link_probability(&block, i, j);
-                assert!((0.0..=1.0).contains(&p));
-            }
-        }
-    }
-
-    #[test]
     fn train_rejects_out_of_range_supervision() {
         let (block, _) = prepared_block();
         let resolver = Resolver::new(ResolverConfig::default()).unwrap();
@@ -381,14 +291,23 @@ mod tests {
     }
 
     /// A restored model is the trained one to the bit: same decisions,
-    /// same link probabilities, same accuracy and selection score.
+    /// same link probabilities, same accuracy and selection score — for a
+    /// threshold fit and for a region model.
     #[test]
     fn restored_models_decide_exactly_like_the_trained_one() {
         let (block, truth) = prepared_block();
-        let resolver = Resolver::new(ResolverConfig::default().with_input_partitioning()).unwrap();
-        for seed in 0..6 {
+        let mut kinds = std::collections::BTreeSet::new();
+        for (config, seed) in [
+            ResolverConfig::threshold_suite(subset_i10()),
+            ResolverConfig::accuracy_suite(subset_i10()),
+        ]
+        .into_iter()
+        .flat_map(|c| (0..6).map(move |seed| (c.clone(), seed)))
+        {
+            let resolver = Resolver::new(config).unwrap();
             let sup = Supervision::sample_from_truth(&truth, 0.3, seed);
             let model = resolver.train(&block, &sup).unwrap();
+            kinds.insert(model.criterion().label());
             let json = serde_json::to_string(model.fitted()).unwrap();
             let restored = resolver
                 .restore_model(
@@ -412,6 +331,8 @@ mod tests {
                 }
             }
         }
+        assert!(kinds.contains("thr"), "{kinds:?}");
+        assert!(kinds.len() > 1, "no region model won: {kinds:?}");
     }
 
     #[test]
@@ -421,31 +342,32 @@ mod tests {
         // exactly 1.0 must stay unlinked after a round trip.
         let link_nothing = 1.0f64.next_up();
         for threshold in [link_nothing, 0.1 + 0.2, 1.0 / 3.0, 0.0, 5e-324] {
-            let fitted = FittedDecision::InputCells {
-                present: ThresholdFit {
+            let fitted = FittedDecision::Threshold {
+                fit: ThresholdFit {
                     threshold,
                     training_accuracy: 2.0 / 3.0,
                 },
-                missing: ThresholdFit {
-                    threshold: link_nothing,
-                    training_accuracy: 0.1,
-                },
-                training_accuracy: 0.7,
             };
             let json = serde_json::to_string(&fitted).unwrap();
             let back: FittedDecision = serde_json::from_str(&json).unwrap();
-            let FittedDecision::InputCells {
-                present, missing, ..
-            } = back
-            else {
+            let FittedDecision::Threshold { fit } = back else {
                 panic!("variant changed: {json}");
             };
-            assert_eq!(present.threshold.to_bits(), threshold.to_bits(), "{json}");
-            assert_eq!(
-                present.training_accuracy.to_bits(),
-                (2.0f64 / 3.0).to_bits()
-            );
-            assert!(!missing.decide(1.0), "{json}");
+            assert_eq!(fit.threshold.to_bits(), threshold.to_bits(), "{json}");
+            assert_eq!(fit.training_accuracy.to_bits(), (2.0f64 / 3.0).to_bits());
+            assert_eq!(fit.decide(1.0), threshold != link_nothing, "{json}");
+        }
+        // A region model fitted on values that do not print short.
+        let samples: Vec<_> = (1..40)
+            .map(|i| weber_ml::LabeledValue::new(1.0 / i as f64, i % 3 == 0))
+            .collect();
+        for criterion in &DecisionCriterion::standard_set()[1..] {
+            let fitted = criterion.fit(&samples);
+            let json = serde_json::to_string(&fitted).unwrap();
+            let back: FittedDecision = serde_json::from_str(&json).unwrap();
+            assert!(matches!(back, FittedDecision::Regions { .. }), "{json}");
+            assert_eq!(back, fitted, "{json}");
+            assert_eq!(serde_json::to_string(&back).unwrap(), json);
         }
     }
 
@@ -461,8 +383,6 @@ mod tests {
         };
         assert!(restore("F99", &criterion, model.fitted().clone()).is_none());
         assert!(restore(model.function_name(), "km99", model.fitted().clone()).is_none());
-        // Not configured: the default suite has no input-partitioned layer.
-        assert!(restore(model.function_name(), "input", model.fitted().clone()).is_none());
         let threshold = DecisionCriterion::Threshold.fit(&[]);
         let regions = DecisionCriterion::standard_set()[1].fit(&[]);
         assert!(restore(model.function_name(), "eq10", threshold.clone()).is_none());

@@ -24,17 +24,14 @@ impl DecisionGraph {
         }
     }
 
-    /// Derive a decision graph from a weighted graph by a predicate on
-    /// `(i, j, weight)`. Pairs are visited in the weighted graph's storage
+    /// Derive a decision graph from a weighted graph by a predicate on the
+    /// edge weight. Pairs are visited in the weighted graph's storage
     /// (colex) order, so the weights are read front to back.
-    pub fn from_weighted(
-        g: &WeightedGraph,
-        mut keep: impl FnMut(usize, usize, f64) -> bool,
-    ) -> Self {
+    pub fn from_weighted(g: &WeightedGraph, mut keep: impl FnMut(f64) -> bool) -> Self {
         let mut d = Self::new(g.len());
         for j in 1..g.len() {
             for (i, &w) in g.column(j).iter().enumerate() {
-                if keep(i, j, w) {
+                if keep(w) {
                     d.add_edge(i, j);
                 }
             }
@@ -165,7 +162,7 @@ mod tests {
     #[test]
     fn from_weighted_applies_threshold() {
         let g = WeightedGraph::from_fn(3, |i, j| if (i, j) == (0, 1) { 0.9 } else { 0.1 });
-        let d = DecisionGraph::from_weighted(&g, |_, _, w| w >= 0.5);
+        let d = DecisionGraph::from_weighted(&g, |w| w >= 0.5);
         assert!(d.has_edge(0, 1));
         assert!(!d.has_edge(0, 2));
         assert_eq!(d.edge_count(), 1);

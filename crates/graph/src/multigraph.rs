@@ -109,7 +109,7 @@ impl MultiGraph {
     /// The combined decision graph: pairs whose combined score clears
     /// `threshold`.
     pub fn combine(&self, threshold: f64) -> DecisionGraph {
-        DecisionGraph::from_weighted(&self.combined_scores(), |_, _, s| s >= threshold)
+        DecisionGraph::from_weighted(&self.combined_scores(), |s| s >= threshold)
     }
 }
 

@@ -148,16 +148,6 @@ impl WeightedGraph {
         }
     }
 
-    /// A graph with the same nodes and `f(i, j, weight)` applied to every
-    /// edge `i < j`, visited in storage (colex) order.
-    pub fn map_edges(&self, mut f: impl FnMut(usize, usize, f64) -> f64) -> Self {
-        let mut weights = Vec::with_capacity(self.weights.len());
-        for j in 1..self.n {
-            weights.extend(self.column(j).iter().enumerate().map(|(i, &w)| f(i, j, w)));
-        }
-        Self { n: self.n, weights }
-    }
-
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.n
@@ -355,16 +345,6 @@ mod tests {
             walked.extend_from_slice(column);
         }
         assert_eq!(walked, g.weight_values());
-    }
-
-    #[test]
-    fn map_edges_sees_each_pair_with_its_weight() {
-        let g = WeightedGraph::from_fn(4, |i, j| (i + j) as f64);
-        let tagged = g.map_edges(|i, j, w| (100 * i + 10 * j) as f64 + w);
-        for (i, j, w) in g.edges() {
-            assert_eq!(tagged.get(i, j), (100 * i + 10 * j) as f64 + w);
-        }
-        assert_eq!(WeightedGraph::new(0).map_edges(|_, _, w| w).len(), 0);
     }
 
     #[test]

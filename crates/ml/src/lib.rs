@@ -13,19 +13,15 @@
 //! - [`threshold`] — choosing the decision threshold that "maximizes the
 //!   number of correct decisions" on the training set;
 //! - [`sampling`] — seeded random train/test splits (the paper uses 10%
-//!   training, averaged over 5 random draws);
-//! - [`crossval`] — k-fold splits, the systematic alternative to repeated
-//!   random draws.
+//!   training, averaged over 5 random draws).
 
 pub mod accuracy;
-pub mod crossval;
 pub mod kmeans;
 pub mod regions;
 pub mod sampling;
 pub mod threshold;
 
 pub use accuracy::AccuracyModel;
-pub use crossval::{kfold, Fold};
 pub use kmeans::{kmeans_1d, KMeans1d};
 pub use regions::{RegionScheme, Regions};
 pub use sampling::train_test_split;

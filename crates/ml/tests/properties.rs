@@ -3,7 +3,6 @@
 use proptest::prelude::*;
 
 use weber_ml::accuracy::AccuracyModel;
-use weber_ml::crossval::kfold;
 use weber_ml::kmeans::kmeans_1d;
 use weber_ml::regions::{RegionScheme, Regions};
 use weber_ml::sampling::train_test_split;
@@ -133,30 +132,5 @@ proptest! {
             train_test_split(n, 0.3, seed),
             train_test_split(n, 0.3, seed)
         );
-    }
-
-    #[test]
-    fn kfold_test_sets_partition_everything(n in 1usize..80, k in 1usize..12, seed in 0u64..50) {
-        let folds = kfold(n, k, seed);
-        prop_assert_eq!(folds.len(), k.min(n));
-        let mut all: Vec<usize> = folds.iter().flat_map(|f| f.test.clone()).collect();
-        all.sort_unstable();
-        prop_assert_eq!(all, (0..n).collect::<Vec<_>>());
-        for f in &folds {
-            prop_assert_eq!(f.train.len() + f.test.len(), n);
-            // Disjoint.
-            for t in &f.test {
-                prop_assert!(!f.train.contains(t));
-            }
-        }
-        // Balanced within one.
-        let sizes: Vec<usize> = folds.iter().map(|f| f.test.len()).collect();
-        let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-        prop_assert!(hi - lo <= 1);
-    }
-
-    #[test]
-    fn kfold_is_deterministic(n in 1usize..50, k in 1usize..8, seed in 0u64..30) {
-        prop_assert_eq!(kfold(n, k, seed), kfold(n, k, seed));
     }
 }

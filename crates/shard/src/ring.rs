@@ -60,8 +60,9 @@ pub struct HashRing {
 impl HashRing {
     /// Build a ring. `backends` must be non-empty; `vnodes` of 0 is
     /// bumped to 1. The router always passes [`VNODES`]; the parameter
-    /// stays only because the repo benchmark passes it, and ROADMAP item 1
-    /// removes it.
+    /// stays only because the repo benchmark passes it: one of the
+    /// harness-pinned forwards, removed when the harness moves to the new
+    /// names.
     pub fn new(backends: &[String], vnodes: usize) -> Self {
         assert!(!backends.is_empty(), "a ring needs at least one backend");
         let vnodes = vnodes.max(1);

@@ -61,7 +61,8 @@ pub struct RouterOptions {
     /// Virtual points per backend on the ring: must be [`VNODES`], which
     /// every router of a tier shares, and [`Router::new`] rejects any other
     /// value. Kept only because the repo benchmark reads it off the
-    /// default; ROADMAP item 1 removes it.
+    /// default: one of the harness-pinned forwards, removed when the
+    /// harness moves to the new names.
     pub vnodes: usize,
     /// Copies of every name: each write goes to the first `replication`
     /// distinct backends clockwise from the name's ring position, and

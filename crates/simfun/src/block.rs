@@ -36,7 +36,6 @@ use weber_extract::features::PageFeatures;
 use weber_graph::weighted::WeightedGraph;
 use weber_textindex::incremental::VectorStore;
 use weber_textindex::index::CorpusIndex;
-use weber_textindex::minhash::MinHasher;
 use weber_textindex::sparse::SparseVector;
 use weber_textindex::tfidf::TfIdf;
 
@@ -211,11 +210,6 @@ pub struct PreparedBlock {
     index: CorpusIndex,
     /// Incrementally maintained word vectors with dirty-term tracking.
     store: VectorStore,
-    /// The shingle hasher (fixed parameters, kept for incremental growth).
-    hasher: MinHasher,
-    /// MinHash signatures over 3-token shingles, aligned with `features`
-    /// (near-duplicate / mirror detection).
-    minhash: Vec<Vec<u64>>,
     /// Dimensionality of the word-vector space (block vocabulary size);
     /// needed by Pearson correlation (F9).
     vocab_dim: usize,
@@ -251,11 +245,6 @@ impl PreparedBlock {
         for f in &features {
             index.add_document(&f.tokens);
         }
-        let hasher = MinHasher::new(64, 3, 0xD0C5);
-        let minhash = features
-            .iter()
-            .map(|f| hasher.signature(&f.tokens))
-            .collect();
         let derived = features
             .iter()
             .map(|f| derive_features(&query_name, f))
@@ -269,8 +258,6 @@ impl PreparedBlock {
             derived,
             index,
             store,
-            hasher,
-            minhash,
             vocab_dim,
             vectors_stale: false,
             sim_cache: Mutex::new(HashMap::new()),
@@ -298,12 +285,11 @@ impl PreparedBlock {
 
     /// Append one document to the block; returns its index.
     ///
-    /// The document's tokens join the block-local index, its MinHash
-    /// signature is computed once, and word vectors are refreshed so that
-    /// inverse-document-frequency weights reflect the grown corpus. The
-    /// refresh is incremental: only vectors holding a term whose idf factor
-    /// actually changed are rewritten (in place), and the result is
-    /// bit-identical to a from-scratch rebuild.
+    /// The document's tokens join the block-local index, and word vectors
+    /// are refreshed so that inverse-document-frequency weights reflect the
+    /// grown corpus. The refresh is incremental: only vectors holding a
+    /// term whose idf factor actually changed are rewritten (in place), and
+    /// the result is bit-identical to a from-scratch rebuild.
     pub fn push(&mut self, features: PageFeatures) -> usize {
         let id = self.push_deferred(features);
         self.ensure_vectors();
@@ -322,7 +308,6 @@ impl PreparedBlock {
     pub fn push_deferred(&mut self, features: PageFeatures) -> usize {
         let id = self.features.len();
         self.index.add_document(&features.tokens);
-        self.minhash.push(self.hasher.signature(&features.tokens));
         self.derived
             .push(derive_features(&self.query_name, &features));
         self.features.push(features);
@@ -395,12 +380,6 @@ impl PreparedBlock {
     /// computed at; feature-function graphs ignore it.
     pub fn vector_generation(&self) -> u64 {
         self.store.generation()
-    }
-
-    /// MinHash signature of document `i` (64 hashes over 3-token
-    /// shingles) — the substrate for near-duplicate detection.
-    pub fn minhash_signature(&self, i: usize) -> &[u64] {
-        &self.minhash[i]
     }
 
     fn cache(&self) -> MutexGuard<'_, HashMap<CacheKey, CachedGraph>> {
@@ -549,8 +528,9 @@ impl PreparedBlock {
     }
 
     /// [`similarity_graph`](Self::similarity_graph) under its old name,
-    /// kept only because the repo benchmark calls it; ROADMAP item 1
-    /// removes it. The MinHash prefilter is gone, so `prefilter` must be
+    /// kept only because the repo benchmark calls it: one of the
+    /// harness-pinned forwards, removed when the harness moves to the new
+    /// names. The word-vector prefilter was removed, so `prefilter` must be
     /// `None`.
     pub fn similarity_graph_with(
         &self,
@@ -635,7 +615,7 @@ impl PreparedBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::functions::{standard_suite, NearDuplicateSimilarity, TfIdfCosine};
+    use crate::functions::{standard_suite, ConceptOverlap, TfIdfCosine};
     use weber_extract::gazetteer::{EntityKind, Gazetteer};
     use weber_extract::pipeline::Extractor;
     use weber_textindex::tfidf::{IdfScheme, TfScheme};
@@ -686,19 +666,6 @@ mod tests {
     }
 
     #[test]
-    fn minhash_signatures_flag_identical_documents() {
-        let b = block(&[
-            "databases are fun to study",
-            "databases are fun to study",
-            "totally different page text here",
-        ]);
-        let same = MinHasher::estimated_jaccard(b.minhash_signature(0), b.minhash_signature(1));
-        let diff = MinHasher::estimated_jaccard(b.minhash_signature(0), b.minhash_signature(2));
-        assert_eq!(same, 1.0);
-        assert!(diff < 0.3, "{diff}");
-    }
-
-    #[test]
     fn empty_block() {
         let b = block(&[]);
         assert!(b.is_empty());
@@ -717,7 +684,6 @@ mod tests {
         assert_eq!(grown.len(), batch.len());
         assert_eq!(grown.vocab_dim(), batch.vocab_dim());
         for i in 0..batch.len() {
-            assert_eq!(grown.minhash_signature(i), batch.minhash_signature(i));
             // Vectors are refreshed incrementally on the grown path and
             // built in one shot on the batch path: bit-identical.
             assert_eq!(grown.tfidf(i), batch.tfidf(i));
@@ -782,7 +748,7 @@ mod tests {
     fn cached_feature_graph_grows_by_rows_and_stays_exact() {
         let e = extractor();
         let mut b = PreparedBlock::empty("cohen", WordVectorScheme::default());
-        let f = NearDuplicateSimilarity;
+        let f = ConceptOverlap;
         for t in TEXTS {
             b.push(e.extract(t, None));
             let g = b.similarity_graph(&f);
@@ -848,7 +814,7 @@ mod tests {
             b.push(e.extract(t, None));
         }
         // Cold: one rebuild, no prior entry to invalidate.
-        let f = NearDuplicateSimilarity;
+        let f = ConceptOverlap;
         b.similarity_graph(&f);
         assert_eq!((stats.hits(), stats.rebuilds()), (0, 1));
         assert_eq!(stats.invalidations(), 0);
@@ -882,7 +848,7 @@ mod tests {
     #[test]
     fn repeated_requests_share_one_graph() {
         let b = block(TEXTS);
-        let f = NearDuplicateSimilarity;
+        let f = ConceptOverlap;
         let first = b.similarity_graph(&f);
         let second = b.similarity_graph(&f);
         assert!(Arc::ptr_eq(&first, &second), "a hit must not copy");
@@ -914,7 +880,7 @@ mod tests {
         for t in &TEXTS[..3] {
             b.push(e.extract(t, None));
         }
-        let f = NearDuplicateSimilarity;
+        let f = ConceptOverlap;
         let held = b.similarity_graph(&f);
         b.push(e.extract(TEXTS[3], None));
         let row = b.similarity_row(&f, 3);
@@ -937,7 +903,7 @@ mod tests {
         for t in &TEXTS[..3] {
             b.push(e.extract(t, None));
         }
-        let f = NearDuplicateSimilarity;
+        let f = ConceptOverlap;
         let before = Arc::as_ptr(&b.similarity_graph(&f));
         for t in &TEXTS[3..] {
             let doc = b.push(e.extract(t, None));

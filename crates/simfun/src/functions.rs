@@ -20,7 +20,6 @@
 use std::sync::Arc;
 
 use crate::block::PreparedBlock;
-use crate::name_sim::name_similarity;
 use crate::set_sim::overlap_coefficient;
 use crate::string_sim::{dice_sorted_bigrams, jaro_winkler};
 
@@ -106,20 +105,10 @@ pub trait SimilarityFunction: Send + Sync {
     /// lacks the required feature.
     fn compare(&self, block: &PreparedBlock, i: usize, j: usize) -> f64;
 
-    /// How much of the feature this function needs document `doc` carries,
-    /// in `[0, 1]`; 0 means the feature is missing entirely. Used by
-    /// input-partitioned decision criteria (§IV-A mentions defining regions
-    /// "based on some properties of the input") to separate pairs where the
-    /// function can be trusted from pairs where a low value only reflects
-    /// missing information. Defaults to always-present.
-    fn feature_presence(&self, _block: &PreparedBlock, _doc: usize) -> f64 {
-        1.0
-    }
-
     /// True if [`compare`](Self::compare) reads the block's word vectors
     /// ([`PreparedBlock::tfidf`] / [`PreparedBlock::vocab_dim`]), whose
     /// values shift as the block grows and idf weights move. Functions over
-    /// per-document features (names, URLs, entity sets, MinHash signatures)
+    /// per-document features (names, URLs, entity sets)
     /// return `false`: their pairwise values are immutable once both
     /// documents exist, which lets cached similarity rows be reused
     /// verbatim as a streaming block grows. Only return `false` if every
@@ -184,9 +173,6 @@ impl SimilarityFunction for WeightedConceptCosine {
             .weighted_concepts
             .cosine(&block.features(j).weighted_concepts)
     }
-    fn feature_presence(&self, block: &PreparedBlock, doc: usize) -> f64 {
-        f64::from(u8::from(!block.features(doc).weighted_concepts.is_empty()))
-    }
 }
 
 /// F2: string similarity of page URLs.
@@ -224,9 +210,6 @@ impl SimilarityFunction for UrlStringSimilarity {
             _ => 0.0,
         }
     }
-    fn feature_presence(&self, block: &PreparedBlock, doc: usize) -> f64 {
-        f64::from(u8::from(block.features(doc).url.is_some()))
-    }
 }
 
 /// F3: string similarity (Jaro–Winkler) of the most frequent person name on
@@ -250,11 +233,6 @@ impl SimilarityFunction for MostFrequentNameSimilarity {
             _ => 0.0,
         }
     }
-    fn feature_presence(&self, block: &PreparedBlock, doc: usize) -> f64 {
-        f64::from(u8::from(
-            block.derived(doc).most_frequent_person_lower.is_some(),
-        ))
-    }
 }
 
 /// F4: overlap of the concept sets.
@@ -270,9 +248,6 @@ impl SimilarityFunction for ConceptOverlap {
     }
     fn compare(&self, block: &PreparedBlock, i: usize, j: usize) -> f64 {
         overlap_coefficient(&block.features(i).concepts, &block.features(j).concepts)
-    }
-    fn feature_presence(&self, block: &PreparedBlock, doc: usize) -> f64 {
-        f64::from(u8::from(!block.features(doc).concepts.is_empty()))
     }
 }
 
@@ -293,9 +268,6 @@ impl SimilarityFunction for OrganizationOverlap {
             &block.features(j).organizations,
         )
     }
-    fn feature_presence(&self, block: &PreparedBlock, doc: usize) -> f64 {
-        f64::from(u8::from(!block.features(doc).organizations.is_empty()))
-    }
 }
 
 /// F6: overlap of the *other* person names (excluding the query name).
@@ -314,10 +286,6 @@ impl SimilarityFunction for OtherPersonOverlap {
             &block.derived(i).other_persons_lower,
             &block.derived(j).other_persons_lower,
         )
-    }
-
-    fn feature_presence(&self, block: &PreparedBlock, doc: usize) -> f64 {
-        f64::from(u8::from(!block.derived(doc).other_persons_lower.is_empty()))
     }
 }
 
@@ -342,10 +310,6 @@ impl SimilarityFunction for ClosestNameSimilarity {
             _ => 0.0,
         }
     }
-
-    fn feature_presence(&self, block: &PreparedBlock, doc: usize) -> f64 {
-        f64::from(u8::from(block.derived(doc).closest_person_lower.is_some()))
-    }
 }
 
 /// F8: cosine similarity of TF-IDF word vectors.
@@ -361,10 +325,6 @@ impl SimilarityFunction for TfIdfCosine {
     }
     fn compare(&self, block: &PreparedBlock, i: usize, j: usize) -> f64 {
         block.tfidf(i).cosine(block.tfidf(j))
-    }
-
-    fn feature_presence(&self, block: &PreparedBlock, doc: usize) -> f64 {
-        f64::from(u8::from(!block.tfidf(doc).is_empty()))
     }
 
     fn word_vector_measure(&self) -> Option<WordVectorMeasure> {
@@ -389,10 +349,6 @@ impl SimilarityFunction for TfIdfPearson {
         block.tfidf(i).pearson(block.tfidf(j), block.vocab_dim())
     }
 
-    fn feature_presence(&self, block: &PreparedBlock, doc: usize) -> f64 {
-        f64::from(u8::from(!block.tfidf(doc).is_empty()))
-    }
-
     fn word_vector_measure(&self) -> Option<WordVectorMeasure> {
         Some(WordVectorMeasure::Pearson)
     }
@@ -413,66 +369,8 @@ impl SimilarityFunction for TfIdfExtendedJaccard {
         block.tfidf(i).extended_jaccard(block.tfidf(j))
     }
 
-    fn feature_presence(&self, block: &PreparedBlock, doc: usize) -> f64 {
-        f64::from(u8::from(!block.tfidf(doc).is_empty()))
-    }
-
     fn word_vector_measure(&self) -> Option<WordVectorMeasure> {
         Some(WordVectorMeasure::ExtendedJaccard)
-    }
-}
-
-/// F3s (extension): like F3, but comparing the most frequent names with
-/// the token-structured, initial-aware [`name_similarity`] instead of flat
-/// Jaro–Winkler — "W. Cohen" and "William Cohen" become highly compatible.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct StructuredNameSimilarity;
-
-impl SimilarityFunction for StructuredNameSimilarity {
-    fn name(&self) -> &'static str {
-        "F3s"
-    }
-    fn description(&self) -> &'static str {
-        "Most frequent name on the page / structured name similarity (extension)"
-    }
-    fn compare(&self, block: &PreparedBlock, i: usize, j: usize) -> f64 {
-        match (
-            block.features(i).most_frequent_person(),
-            block.features(j).most_frequent_person(),
-        ) {
-            (Some(a), Some(b)) => name_similarity(&a.to_lowercase(), &b.to_lowercase()),
-            _ => 0.0,
-        }
-    }
-    fn feature_presence(&self, block: &PreparedBlock, doc: usize) -> f64 {
-        f64::from(u8::from(
-            block.features(doc).most_frequent_person().is_some(),
-        ))
-    }
-}
-
-/// F11 (extension): MinHash-estimated shingle Jaccard of the page texts —
-/// a near-duplicate (mirror) detector. Mirrors of the same page score ≈1;
-/// independently written pages score near 0, so this layer contributes
-/// high-precision "same person" edges for syndicated copies.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NearDuplicateSimilarity;
-
-impl SimilarityFunction for NearDuplicateSimilarity {
-    fn name(&self) -> &'static str {
-        "F11"
-    }
-    fn description(&self) -> &'static str {
-        "Page text shingles / MinHash-estimated Jaccard (near-duplicate detector, extension)"
-    }
-    fn compare(&self, block: &PreparedBlock, i: usize, j: usize) -> f64 {
-        weber_textindex::minhash::MinHasher::estimated_jaccard(
-            block.minhash_signature(i),
-            block.minhash_signature(j),
-        )
-    }
-    fn feature_presence(&self, block: &PreparedBlock, doc: usize) -> f64 {
-        f64::from(u8::from(!block.features(doc).tokens.is_empty()))
     }
 }
 
@@ -679,60 +577,6 @@ mod tests {
     }
 
     #[test]
-    fn near_duplicate_function_spikes_on_mirrors() {
-        let e = Extractor::new(&gazetteer());
-        let base = "William Cohen studies machine learning and information extraction \
-             at Carnegie Mellon University with Tom Mitchell over many years of work. \
-             The research group publishes widely on text analysis, builds open tools \
-             for students, and collaborates with laboratories across several countries \
-             on long running projects about language, knowledge and the web.";
-        let mirror = format!("{base} Mirrored copy of an archived page.");
-        let features = vec![
-            e.extract(base, None),
-            e.extract(&mirror, None),
-            e.extract(
-                "Don Cohen writes about genealogy at ISI in a wholly different style.",
-                None,
-            ),
-        ];
-        let b = PreparedBlock::new("Cohen", features, TfIdf::default());
-        let f = NearDuplicateSimilarity;
-        assert!(
-            f.compare(&b, 0, 1) > 0.7,
-            "mirror sim {}",
-            f.compare(&b, 0, 1)
-        );
-        assert!(
-            f.compare(&b, 0, 2) < 0.3,
-            "unrelated sim {}",
-            f.compare(&b, 0, 2)
-        );
-    }
-
-    #[test]
-    fn structured_name_variant_beats_flat_f3_on_initial_forms() {
-        // Build a block where the same person appears as "w cohen" on one
-        // page and "william cohen" on another.
-        let mut g = Gazetteer::new();
-        g.add_phrases(
-            EntityKind::Person,
-            ["William Cohen", "W Cohen", "Don Cohen"],
-        );
-        let e = Extractor::new(&g);
-        let features = vec![
-            e.extract("William Cohen writes pages.", None),
-            e.extract("W Cohen writes pages.", None),
-            e.extract("Don Cohen writes pages.", None),
-        ];
-        let b = PreparedBlock::new("Cohen", features, weber_textindex::tfidf::TfIdf::default());
-        let flat = MostFrequentNameSimilarity;
-        let structured = StructuredNameSimilarity;
-        assert!(structured.compare(&b, 0, 1) > flat.compare(&b, 0, 1));
-        // And it still separates genuinely different people.
-        assert!(structured.compare(&b, 0, 1) > structured.compare(&b, 0, 2));
-    }
-
-    #[test]
     fn labels_and_display() {
         assert_eq!(FunctionId::F10.label(), "F10");
         assert_eq!(format!("{}", FunctionId::F3), "F3");
@@ -745,8 +589,6 @@ mod tests {
             let expected = matches!(f.name(), "F8" | "F9" | "F10");
             assert_eq!(f.uses_word_vectors(), expected, "{}", f.name());
         }
-        assert!(!StructuredNameSimilarity.uses_word_vectors());
-        assert!(!NearDuplicateSimilarity.uses_word_vectors());
     }
 
     #[test]

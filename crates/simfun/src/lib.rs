@@ -8,7 +8,6 @@
 //! similarity measure (like cosine similarity, number of overlaps etc)").
 //!
 //! - [`string_sim`] — Levenshtein, Jaro, Jaro–Winkler, n-gram Dice;
-//! - [`name_sim`] — token-structured, initial-aware person-name similarity;
 //! - [`set_sim`] — overlap coefficient, Jaccard, Dice over entity sets;
 //! - [`block`] — [`PreparedBlock`]: a block of
 //!   documents with TF-IDF vectors materialised over a shared vocabulary;
@@ -21,15 +20,12 @@
 
 pub mod block;
 pub mod functions;
-pub mod name_sim;
 pub mod set_sim;
 pub mod string_sim;
 
 pub use block::{PreparedBlock, WordVectorScheme};
 pub use functions::{
-    standard_suite, subset_i10, subset_i4, subset_i7, FunctionId, NearDuplicateSimilarity,
-    SimilarityFunction, StructuredNameSimilarity,
+    standard_suite, subset_i10, subset_i4, subset_i7, FunctionId, SimilarityFunction,
 };
-pub use name_sim::name_similarity;
 pub use set_sim::{dice, jaccard, overlap_coefficient};
 pub use string_sim::{jaro, jaro_winkler, levenshtein, ngram_dice, normalized_levenshtein};

@@ -6,7 +6,8 @@ use weber_core::resolver::ResolverConfig;
 /// How an arriving document is assigned to a cluster. There is one way:
 /// transitive closure, which [`NameState`](crate::NameState) applies
 /// directly. The type is kept only because the repo benchmark passes it to
-/// [`NameState::seed`](crate::NameState::seed); ROADMAP item 1 removes it.
+/// [`NameState::seed`](crate::NameState::seed): one of the harness-pinned
+/// forwards, removed when the harness moves to the new names.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum AssignmentPolicy {
     /// Union with every linked member (the paper's transitive-closure
@@ -20,7 +21,7 @@ pub enum AssignmentPolicy {
 #[derive(Debug, Clone, Default)]
 pub struct StreamConfig {
     /// The batch resolver configuration used to train each name's decision
-    /// model on its seed batch (functions, criteria, input partitioning).
+    /// model on its seed batch (functions, criteria, combination, clustering).
     pub resolver: ResolverConfig,
     /// Directory per-name state records persist into (and restore from).
     /// `None` disables persistence: `persist`/`restore` become no-ops and

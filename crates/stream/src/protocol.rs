@@ -1239,6 +1239,34 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A request nested to any depth is answered with an error, never
+        /// a stack overflow: within the parser's bound it reaches the
+        /// field check, past it the parser refuses the line. The line is
+        /// built as text, so the test itself never holds a deep tree.
+        #[test]
+        fn every_nesting_depth_is_answered(deep in 0usize..1_000_000, shallow in 0usize..256) {
+            for depth in [deep, shallow] {
+                let line = format!(
+                    r#"{{"op":"resolve","name":{}{}}}"#,
+                    "[".repeat(depth),
+                    "]".repeat(depth)
+                );
+                // The request object is one level, the brackets the rest.
+                match parse_request(&line) {
+                    Err(StreamError::Parse(msg)) if depth >= serde_json::MAX_DEPTH => {
+                        prop_assert!(msg.starts_with("nesting deeper than"), "{}", msg);
+                    }
+                    Err(StreamError::Parse(_)) if depth == 0 => {}
+                    Err(StreamError::InvalidRequest(_)) if depth < serde_json::MAX_DEPTH => {}
+                    other => prop_assert!(false, "depth {}: {:?}", depth, other),
+                }
+            }
+        }
+    }
+
     #[test]
     fn parses_every_op() {
         let seed = parse_request(

@@ -1306,15 +1306,15 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// What a repeat read returns (the part of ROADMAP law 19(e) that
-    /// holds today): two `entities` reads with no write between them
-    /// serve the same entities and links, the second mints no ID, and
+    /// What a repeat read returns (the part of read stability that holds
+    /// today): two `entities` reads with no write between them serve the
+    /// same entities and links, the second mints no ID, and
     /// every read after it is byte-identical to it. The counts describe
     /// the pass that served the read, so the first read after a write may
     /// differ in them. With no accepted `SAME_AS` union the second read
     /// retains every ID; an accepted union hands the absorbed ID back and
     /// merges it again on every pass, so each one reports it as
-    /// resurrected (ROADMAP item 22).
+    /// resurrected (until an accepted union holds across passes).
     #[test]
     fn a_repeat_read_mints_no_id_and_then_reads_the_same_bytes() {
         let dataset = weber_corpus::generate(&weber_corpus::presets::tiny(4));

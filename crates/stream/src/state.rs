@@ -97,7 +97,7 @@ fn closure_partition(
     let mut partition = OnlinePartition::new();
     for i in 0..block.len() {
         let links: Vec<usize> = (sims.column(i).iter().enumerate())
-            .filter(|&(j, &value)| model.decide_value(block, i, j, value))
+            .filter(|&(_, &value)| model.fitted().decide(value))
             .map(|(j, _)| j)
             .collect();
         partition.insert(links);
@@ -118,7 +118,8 @@ impl NameState {
     /// on top (the seed labels are ground truth for their documents).
     ///
     /// The last argument is the one-variant [`AssignmentPolicy`], kept only
-    /// because the repo benchmark passes it; ROADMAP item 1 removes it.
+    /// because the repo benchmark passes it: one of the harness-pinned
+    /// forwards, removed when the harness moves to the new names.
     pub fn seed(
         name: &str,
         documents: Vec<StoredDocument>,
@@ -276,7 +277,7 @@ impl NameState {
             self.checkpoint();
             let row = self.model.similarity_row(&self.block, doc);
             let linked_members = (0..doc)
-                .filter(|&j| self.model.decide_value(&self.block, doc, j, row[j]))
+                .filter(|&j| self.model.fitted().decide(row[j]))
                 .count();
             let cluster_size = self.partition.members_of(doc).len();
             return ClusterAssignment {
@@ -302,7 +303,7 @@ impl NameState {
         }
         let row = self.model.similarity_row(&self.block, doc);
         let links: Vec<usize> = (0..doc)
-            .filter(|&j| self.model.decide_value(&self.block, doc, j, row[j]))
+            .filter(|&j| self.model.fitted().decide(row[j]))
             .collect();
         let linked_members = links.len();
         let id = self.partition.insert(links);

@@ -62,7 +62,7 @@ fn replays(r: &StreamResolver) -> u64 {
     r.metrics().restore_replays.get()
 }
 
-/// ROADMAP law 10(c): at every cut point, persisting, restoring into a
+/// Restoring is invisible: at every cut point, persisting, restoring into a
 /// fresh resolver and ingesting the rest gives every later assignment
 /// (cluster root and retrain flag included), the final partition and the
 /// final model bits of the run that never stopped. One name per resolver,
@@ -163,8 +163,12 @@ fn version_one_records_replay_and_are_rewritten_as_version_two() {
 /// texts, as `weber serve` wrote them when the JSON writer still formatted
 /// each number and `\u` escape into a fresh `String`: today's writer
 /// re-renders both byte for byte, and the state record restores. The
-/// entity table is a version-1 entity record: it reads back with its IDs,
-/// and the next persist rewrites it at the current version.
+/// record's configuration fingerprint is that of the resolver
+/// configuration that still had the input-partitioning switch, so the
+/// first restore replays it once (and counts the replay) and the next
+/// persist rewrites it under today's fingerprint, which then restores by
+/// adoption. The entity table is a version-1 entity record: it reads back
+/// with its IDs, and the next persist rewrites it at the current version.
 #[test]
 fn stored_records_re_render_byte_identical() {
     let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v2");
@@ -189,6 +193,7 @@ fn stored_records_re_render_byte_identical() {
     }
     let r = resolver(&dir, &Gazetteer::new());
     assert_eq!(r.restore_all().unwrap(), 1);
+    assert_eq!(replays(&r), 1, "an older configuration replays once");
     assert_eq!(
         r.partition(name).unwrap().labels(),
         record.partition.as_slice()
@@ -202,6 +207,13 @@ fn stored_records_re_render_byte_identical() {
     r.persist_all().unwrap();
     let (rewritten, _) = snapshot::read_entity_record(&dir, name).unwrap().unwrap();
     assert_eq!(rewritten.version, weber_entity::ENTITY_FILE_VERSION);
+    let again = resolver(&dir, &Gazetteer::new());
+    assert_eq!(again.restore_all().unwrap(), 1);
+    assert_eq!(replays(&again), 0, "the rewritten record is adopted");
+    assert_eq!(
+        again.partition(name).unwrap().labels(),
+        record.partition.as_slice()
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Guard against results drift: re-run the two headline experiments and
-# diff their payload against the archived results/*.txt.
+# Guard against results drift: re-run every archived experiment (one
+# per results/*.txt, named after its binary) and diff its payload
+# against the archive.
 #
 # Manifest lines (the `#`-prefixed header and stage-timing footer the
 # binaries emit) are stripped from both sides before diffing — they carry
@@ -13,7 +14,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BINARIES=(fig2_www05 table2_comparison)
+BINARIES=()
+for archive in results/*.txt; do
+    BINARIES+=("$(basename "$archive" .txt)")
+done
 
 echo "==> building release experiment binaries"
 cargo build --release -p weber-bench --bins 2>/dev/null || cargo build --release -p weber-bench --bins
@@ -25,8 +29,8 @@ strip_manifest() {
 status=0
 for bin in "${BINARIES[@]}"; do
     archive="results/${bin}.txt"
-    if [[ ! -f "$archive" ]]; then
-        echo "MISSING: $archive (run the binary and archive its output)"
+    if [[ ! -x "./target/release/${bin}" ]]; then
+        echo "ORPHAN: $archive has no experiment binary named ${bin}"
         status=1
         continue
     fi

@@ -486,3 +486,126 @@ fn out_of_range_train_fraction_is_a_clean_error() {
     assert!(!err.contains("panicked"), "must not panic: {err}");
     std::fs::remove_file(&dataset).ok();
 }
+
+/// A free loopback address for a daemon to bind.
+fn free_addr() -> String {
+    let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    probe.local_addr().unwrap().to_string()
+}
+
+/// Connect to `addr`, retrying until the process behind it has bound.
+fn connect_when_bound(addr: &str) -> std::net::TcpStream {
+    for _ in 0..200 {
+        if let Ok(s) = std::net::TcpStream::connect(addr) {
+            return s;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(50));
+    }
+    panic!("nothing bound {addr}");
+}
+
+/// A child process killed when the test lets go of it, pass or fail.
+struct KillOnDrop(std::process::Child);
+
+impl Drop for KillOnDrop {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Send one line on a fresh connection and read the one reply.
+fn tcp_round_trip(addr: &str, line: &str) -> String {
+    use std::io::{BufRead, BufReader, Write};
+    let mut stream = connect_when_bound(addr);
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    stream.write_all(format!("{line}\n").as_bytes()).unwrap();
+    let mut reply = String::new();
+    BufReader::new(stream).read_line(&mut reply).unwrap();
+    reply.trim().to_string()
+}
+
+#[test]
+fn a_hostile_nesting_line_is_answered_by_serve_and_route() {
+    use std::io::Write;
+    use std::process::Stdio;
+    // 200 kB, well under the line cap: a parser recursing once per `[`
+    // would overflow the stack and abort the whole process.
+    let hostile = format!(
+        r#"{{"op":"resolve","name":{}{}}}"#,
+        "[".repeat(100_000),
+        "]".repeat(100_000)
+    );
+    let health = r#"{"op":"health"}"#;
+    let assert_error = |where_: &str, reply: &str| {
+        assert!(reply.contains(r#""ok":false"#), "{where_}: {reply}");
+        assert!(reply.contains("nesting deeper than"), "{where_}: {reply}");
+    };
+    let assert_health = |where_: &str, reply: &str| {
+        assert!(reply.contains(r#""ok":true"#), "{where_}: {reply}");
+        assert!(reply.contains(r#""op":"health""#), "{where_}: {reply}");
+    };
+
+    // stdio: the line is answered, and the next line is served.
+    let mut child = weber()
+        .arg("serve")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let input = format!("{hostile}\n{health}\n");
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(input.as_bytes())
+        .unwrap();
+    let out = child.wait_with_output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{:?}: {}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 2, "{stdout}");
+    assert_error("serve (stdio)", lines[0]);
+    assert_health("serve (stdio)", lines[1]);
+
+    // TCP: the daemon, then a router in front of it.
+    let backend_addr = free_addr();
+    let mut backend = KillOnDrop(
+        weber()
+            .args(["serve", "--listen", &backend_addr, "--workers", "1"])
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .unwrap(),
+    );
+    let route_addr = free_addr();
+    let mut route = KillOnDrop(
+        weber()
+            .args([
+                "route",
+                "--backends",
+                &backend_addr,
+                "--listen",
+                &route_addr,
+            ])
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .unwrap(),
+    );
+    for (where_, addr) in [("serve --listen", &backend_addr), ("route", &route_addr)] {
+        assert_error(where_, &tcp_round_trip(addr, &hostile));
+        assert_health(where_, &tcp_round_trip(addr, health));
+    }
+    for (name, child) in [("route", &mut route), ("serve --listen", &mut backend)] {
+        assert_eq!(child.0.try_wait().unwrap(), None, "{name} exited");
+    }
+}
